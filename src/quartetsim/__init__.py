@@ -17,7 +17,6 @@ from .spincore import (
     HermitianOperator,
     InteractionTensor,
     LabOrientation,
-    SpinCenter,
     SpinSystemSpec,
     build_hamiltonian,
     coupled_transform,
@@ -48,7 +47,6 @@ from .spectra import (
     PowderScheme,
     SingleOrientationScheme,
     Spectrum,
-    aligned_average,
     find_resonances,
     intensity_extent,
     powder_average,
@@ -58,7 +56,7 @@ from .spectra import (
     simulate_triplet,
     stick_spectrum,
 )
-from .fitting import FitDataset, FitProblem, FitResult, fit_simultaneous
+from .fitting import FitDataset, FitModel, FitProblem, FitResult, fit_simultaneous
 from .kinetics import SequentialModel, TADataset, eas_solve, global_fit
 from .configio import ConfigError, RunConfig, emit_config, parse_config, parse_config_text
 from .dataio import (
@@ -77,6 +75,7 @@ __all__ = [
     "DataError",
     "FieldSweepConfig",
     "FitDataset",
+    "FitModel",
     "FitProblem",
     "FitResult",
     "FrameGeometry",
@@ -92,13 +91,11 @@ __all__ = [
     "RunManifest",
     "SequentialModel",
     "SingleOrientationScheme",
-    "SpinCenter",
     "SpinSystemSpec",
     "Spectrum",
     "TADataset",
     "ThermalPolarization",
     "TripletZeroFieldPolarization",
-    "aligned_average",
     "build_hamiltonian",
     "coupled_transform",
     "eas_solve",

@@ -175,7 +175,8 @@ def _cmd_fit_trepr(args) -> int:
         coefficient_bounds=(fit_sec.get("bound_lo", -1.0), fit_sec.get("bound_hi", 1.0)),
         settings=fitting.FitSettings(**settings_kwargs),
     ))
-    result = _compute(lambda: fitting.fit_simultaneous(problem))
+    model = _compute(lambda: fitting.FitModel.build(problem))
+    result = _compute(lambda: fitting.fit_simultaneous(problem, model))
     report = fitting.fit_report(problem, result)
     print(report)
 
@@ -184,7 +185,7 @@ def _cmd_fit_trepr(args) -> int:
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(report + "\n")
     manifest.add_output(report_path)
-    best = fitting.evaluate_model(problem, result.params, result.nuclear, result.scales)
+    best = fitting.evaluate_model(problem, result.params, result.nuclear, result.scales, model)
     for ds, model_curve in zip(problem.datasets, best):
         path = os.path.join(out_dir, f"{prefix}_fit_{ds.name}.csv")
         dataio.save_spectrum_csv(path, sp.Spectrum(ds.spectrum.field_mt, model_curve))

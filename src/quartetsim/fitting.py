@@ -103,6 +103,7 @@ class FitResult:
     cost: float
     residual_norm: float
     start_costs: tuple[float, ...]
+    start_converged: tuple[bool, ...]
     n_evaluations: int
     converged: bool
     seed: int
@@ -112,13 +113,10 @@ class FitResult:
 def dataset_bases(problem: FitProblem) -> list[QuartetBasisSpectra]:
     """Basis-spectrum tensors, one per dataset (shared schemes computed once)."""
     cache: dict = {}
-    bases = []
     for ds in problem.datasets:
-        key = ds.scheme
-        if key not in cache:
-            cache[key] = quartet_basis_spectra(problem.system, problem.sweep, ds.scheme)
-        bases.append(cache[key])
-    return bases
+        if ds.scheme not in cache:
+            cache[ds.scheme] = quartet_basis_spectra(problem.system, problem.sweep, ds.scheme)
+    return [cache[ds.scheme] for ds in problem.datasets]
 
 
 def _coefficient_vector(params: pol.QuartetPolarizationParams) -> np.ndarray:
@@ -135,31 +133,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _interp_models(
-    problem: FitProblem, bases: list[QuartetBasisSpectra]
-) -> list[np.ndarray]:
-    """Basis tensors resampled onto each dataset's experimental field axis."""
-    axis = problem.sweep.field_axis()
-    out = []
-    for ds, basis in zip(problem.datasets, bases):
-        t = basis.tensor
-        resampled = np.empty(t.shape[:2] + (len(ds.spectrum.field_mt),))
-        for p in range(t.shape[0]):
-            for l in range(t.shape[1]):
-                resampled[p, l] = np.interp(ds.spectrum.field_mt, axis, t[p, l])
-        out.append(resampled)
-    return out
-
-
-def _dataset_fit_pieces(problem: FitProblem):
-    bases = dataset_bases(problem)
-    models = _interp_models(problem, bases)
-    exps = [np.asarray(ds.spectrum.intensity, dtype=float) for ds in problem.datasets]
-    norms = [max(float(np.abs(e).max()), np.finfo(float).tiny) for e in exps]
-    weights = [ds.weight for ds in problem.datasets]
-    return models, exps, norms, weights
-
-
 def _closed_form_scale(sim: np.ndarray, exp: np.ndarray) -> float:
     denom = float(sim @ sim)
     if denom == 0.0:
@@ -167,27 +140,63 @@ def _closed_form_scale(sim: np.ndarray, exp: np.ndarray) -> float:
     return float(sim @ exp) / denom
 
 
+@dataclass(frozen=True)
+class FitModel:
+    """A fit problem prepared once: data and basis tensors on each field axis.
+
+    The fit and its best-fit curves share one model; each basis is built once.
+    """
+
+    tensors: tuple[np.ndarray, ...]
+    data: tuple[np.ndarray, ...]
+    norms: tuple[float, ...]
+    weights: tuple[float, ...]
+
+    @classmethod
+    def build(cls, problem: FitProblem) -> "FitModel":
+        axis = problem.sweep.field_axis()
+        data = tuple(np.asarray(ds.spectrum.intensity, dtype=float) for ds in problem.datasets)
+        return cls(
+            tensors=tuple(
+                np.array([[np.interp(ds.spectrum.field_mt, axis, row) for row in plane]
+                          for plane in basis.tensor])
+                for ds, basis in zip(problem.datasets, dataset_bases(problem))
+            ),
+            data=data,
+            norms=tuple(max(float(np.abs(e).max()), np.finfo(float).tiny) for e in data),
+            weights=tuple(ds.weight for ds in problem.datasets),
+        )
+
+    def terms(
+        self, c: np.ndarray, p: np.ndarray, scales: tuple[float, ...] | None = None
+    ) -> list[tuple[float, np.ndarray, np.ndarray]]:
+        """(scale, simulated spectrum, residual) of every dataset.
+
+        The residual is weight * (scale * simulated - experimental) /
+        max|experimental|; scales default to their closed-form optima.
+        """
+        out = []
+        for k, (m, exp) in enumerate(zip(self.tensors, self.data)):
+            sim = np.einsum("p,l,plf->f", c, p, m)
+            s = scales[k] if scales is not None else _closed_form_scale(sim, exp)
+            out.append((s, sim, self.weights[k] * (s * sim - exp) / self.norms[k]))
+        return out
+
+
 def residual(
     problem: FitProblem,
     params: pol.QuartetPolarizationParams,
     nuclear: pol.NuclearPopulations,
     scales: tuple[float, ...] | None = None,
+    model: FitModel | None = None,
 ) -> np.ndarray:
-    """Concatenated weighted residual over all datasets.
+    """Concatenated weighted residual over all datasets (see FitModel.terms).
 
-    Each dataset contributes weight * (scale * simulated - experimental) /
-    max|experimental|; scales default to their closed-form least-squares
-    optima.
+    ``model``, when given, must have been built from ``problem``.
     """
-    models, exps, norms, weights = _dataset_fit_pieces(problem)
-    c = _coefficient_vector(params)
-    p = nuclear.as_array()
-    parts = []
-    for k, (m, exp) in enumerate(zip(models, exps)):
-        sim = np.einsum("p,l,plf->f", c, p, m)
-        s = scales[k] if scales is not None else _closed_form_scale(sim, exp)
-        parts.append(weights[k] * (s * sim - exp) / norms[k])
-    return np.concatenate(parts)
+    model = model or FitModel.build(problem)
+    terms = model.terms(_coefficient_vector(params), nuclear.as_array(), scales)
+    return np.concatenate([r for _, _, r in terms])
 
 
 def evaluate_model(
@@ -195,17 +204,12 @@ def evaluate_model(
     params: pol.QuartetPolarizationParams,
     nuclear: pol.NuclearPopulations,
     scales: tuple[float, ...] | None = None,
+    model: FitModel | None = None,
 ) -> list[np.ndarray]:
     """Scaled model spectra on each dataset's experimental field axis."""
-    models, exps, _, _ = _dataset_fit_pieces(problem)
-    c = _coefficient_vector(params)
-    p = nuclear.as_array()
-    out = []
-    for k, (m, exp) in enumerate(zip(models, exps)):
-        sim = np.einsum("p,l,plf->f", c, p, m)
-        s = scales[k] if scales is not None else _closed_form_scale(sim, exp)
-        out.append(s * sim)
-    return out
+    model = model or FitModel.build(problem)
+    terms = model.terms(_coefficient_vector(params), nuclear.as_array(), scales)
+    return [s * sim for s, sim, _ in terms]
 
 
 def _start_logits(nuclear: pol.NuclearPopulations) -> np.ndarray:
@@ -213,7 +217,7 @@ def _start_logits(nuclear: pol.NuclearPopulations) -> np.ndarray:
     return z - z.mean()
 
 
-def fit_simultaneous(problem: FitProblem) -> FitResult:
+def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitResult:
     """Minimize the joint residual over the free parameters.
 
     Free coefficients vary directly; nuclear populations, when free, vary as
@@ -221,9 +225,9 @@ def fit_simultaneous(problem: FitProblem) -> FitResult:
     per-dataset scales are solved in closed form inside the objective.  When
     every nonzero coefficient is free the scale/coefficient product is gauge
     degenerate; the result is normalized so the geometric mean of |scale| is
-    one.
+    one.  ``model``, when given, must have been built from ``problem``.
     """
-    models, exps, norms, weights = _dataset_fit_pieces(problem)
+    model = model or FitModel.build(problem)
     free_coeffs = problem.free_coefficients
     coeff_idx = [PARAM_NAMES.index(n) for n in free_coeffs]
     c_full = _coefficient_vector(problem.start_params)
@@ -250,12 +254,8 @@ def fit_simultaneous(problem: FitProblem) -> FitResult:
     def objective(x: np.ndarray) -> float:
         nonlocal n_evals
         n_evals += 1
-        c, p = unpack(x)
         cost = 0.0
-        for k, (m, exp) in enumerate(zip(models, exps)):
-            sim = np.einsum("p,l,plf->f", c, p, m)
-            s = _closed_form_scale(sim, exp)
-            r = weights[k] * (s * sim - exp) / norms[k]
+        for _, _, r in model.terms(*unpack(x)):
             cost += float(r @ r)
         return cost
 
@@ -281,7 +281,7 @@ def fit_simultaneous(problem: FitProblem) -> FitResult:
 
     best = None
     start_costs = []
-    converged = False
+    start_converged = []
     for x_start in starts:
         res = minimize(
             objective,
@@ -296,15 +296,12 @@ def fit_simultaneous(problem: FitProblem) -> FitResult:
             },
         )
         start_costs.append(float(res.fun))
-        converged = converged or bool(res.success)
+        start_converged.append(bool(res.success))
         if best is None or res.fun < best.fun:
             best = res
 
     c_best, p_best = unpack(best.x)
-    scales = []
-    for m, exp in zip(models, exps):
-        sim = np.einsum("p,l,plf->f", c_best, p_best, m)
-        scales.append(_closed_form_scale(sim, exp))
+    scales = [s for s, _, _ in model.terms(c_best, p_best)]
 
     # Gauge fixing: coefficients and scales only enter as products, so when
     # no fixed coefficient pins the overall factor the solution is defined up
@@ -330,8 +327,9 @@ def fit_simultaneous(problem: FitProblem) -> FitResult:
         cost=cost,
         residual_norm=float(np.sqrt(cost)),
         start_costs=tuple(start_costs),
+        start_converged=tuple(start_converged),
         n_evaluations=n_evals,
-        converged=converged,
+        converged=bool(best.success),
         seed=problem.settings.seed,
         message=str(best.message),
     )
@@ -355,4 +353,5 @@ def fit_report(problem: FitProblem, result: FitResult) -> str:
     for ds, s in zip(problem.datasets, result.scales):
         lines.append(f"scale[{ds.name}]: {s:.6e}")
     lines.append("start_costs: " + ", ".join(f"{c:.6e}" for c in result.start_costs))
+    lines.append("start_converged: " + ", ".join(str(c) for c in result.start_converged))
     return "\n".join(lines)

@@ -618,17 +618,6 @@ def powder_average(
     return simulate_dimer(spec, model, sweep, PowderScheme(grid_size))
 
 
-def aligned_average(
-    spec: SpinSystemSpec,
-    model: pol.PolarizationModel,
-    sweep: FieldSweepConfig,
-    mode: str,
-    sigma_deg: float = 10.0,
-    n_samples: int = 16,
-) -> Spectrum:
-    return simulate_dimer(spec, model, sweep, AlignedScheme(mode, sigma_deg, n_samples))
-
-
 @dataclass
 class QuartetBasisSpectra:
     """Per-coefficient, per-nuclear-sublevel basis spectra for fast fitting.

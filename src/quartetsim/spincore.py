@@ -130,20 +130,6 @@ class LabOrientation:
 
 
 @dataclass(frozen=True)
-class SpinCenter:
-    """One paramagnetic center: electron spin plus optional nuclear spin."""
-
-    spin: float
-    nuclear_spin: float | None = None
-
-    def multiplicity(self) -> int:
-        mult = int(round(2 * self.spin)) + 1
-        if self.nuclear_spin is not None:
-            mult *= int(round(2 * self.nuclear_spin)) + 1
-        return mult
-
-
-@dataclass(frozen=True)
 class InteractionTensor:
     """Rank-2 interaction with principal values and a principal frame.
 
@@ -331,9 +317,6 @@ class SpinSystemSpec:
     def dipolar_tensor(self) -> InteractionTensor:
         d = self.dipolar_mhz
         return InteractionTensor((d, d, -2 * d), self.dipolar_euler)
-
-    def centers(self) -> tuple[SpinCenter, SpinCenter]:
-        return (SpinCenter(SPIN_TRIPLET), SpinCenter(SPIN_DOUBLET, SPIN_NUCLEUS))
 
     def rotated(self, rot: np.ndarray) -> "SpinSystemSpec":
         """System after rigidly rotating the whole molecule by ``rot``."""

@@ -1,5 +1,6 @@
 """Config grammar, CSV formats, manifests and the command-line interface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quartetsim import cli, configio, dataio
+from quartetsim import cli, configio, dataio, fitting
 from quartetsim import kinetics as kin
 from quartetsim import polarization as pol
 from quartetsim import spectra as sp
@@ -424,6 +425,74 @@ def test_cli_fit_trepr_single_orientation(tmp_path, capsys):
     assert np.abs(fit_curve.intensity - spectrum.intensity).max() <= 1e-3 * scale
     report = (tmp_path / "demo_fit_report.txt").read_text()
     assert "a2" in report
+
+
+def _shared_scheme_fit(tmp_path, fit_block):
+    """Two crystal spectra recorded under one scheme, and a fit-trepr config."""
+    system = spincore.vanadyl_porphyrin_dimer()
+    sweep = sp.FieldSweepConfig(n_points=256, search_points=301)
+    scheme = sp.SingleOrientationScheme(math.radians(50.0), math.radians(20.0))
+    truth = pol.QuartetPolarizationParams(a=(0.11, -0.002, -0.027), r=(0.0, -0.01, 0.0))
+    nuclear = pol.NuclearPopulations((0.146, 0.078, 0.194, 0.126, 0.117, 0.165, 0.078, 0.097))
+    signal = sp.quartet_basis_spectra(system, sweep, scheme).evaluate(truth, nuclear)
+    rng = np.random.default_rng(5)
+    data = []
+    for name, gain in (("crystal_a", 1.0), ("crystal_b", 0.5)):
+        noisy = gain * signal + 0.01 * np.abs(signal).max() * rng.standard_normal(len(signal))
+        data.append(tmp_path / f"{name}.csv")
+        dataio.save_spectrum_csv(data[-1], sp.Spectrum(sweep.field_axis(), noisy))
+    text = _dimer_cfg(tmp_path, SINGLE_SCHEME).replace("a = 0.11 -0.002 -0.027", "a = 0.11 0.3 -0.027")
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(text + "\n[fit]\nfree = a2\nschemes = single single\nseed = 99\n" + fit_block)
+    return ["fit-trepr", "--config", str(cfg), "--data", *map(str, data)]
+
+
+def test_cli_fit_trepr_builds_each_basis_once(tmp_path, capsys, monkeypatch):
+    argv = _shared_scheme_fit(tmp_path, "n_starts = 2\n")
+    builds = []
+    build = fitting.quartet_basis_spectra
+
+    def counting_build(spec, sweep, scheme):
+        builds.append(scheme)
+        return build(spec, sweep, scheme)
+
+    fits = []
+    fit = fitting.fit_simultaneous
+
+    def recording_fit(problem, *args):
+        fits.append((problem, fit(problem, *args)))
+        return fits[-1][1]
+
+    monkeypatch.setattr(fitting, "quartet_basis_spectra", counting_build)
+    monkeypatch.setattr(fitting, "fit_simultaneous", recording_fit)
+    rc = cli.entry(argv)
+    assert rc == 0
+    assert "converged: True" in capsys.readouterr().out
+    assert len(builds) == len(set(builds)) == 1
+
+    # The written curves are byte-identical to an evaluation that rebuilds
+    # every basis from a fresh problem.
+    (problem, result), = fits
+    fresh = dataclasses.replace(problem)
+    curves = fitting.evaluate_model(fresh, result.params, result.nuclear, result.scales)
+    assert len(builds) == 2
+    for ds, curve in zip(fresh.datasets, curves):
+        path = tmp_path / f"fresh_{ds.name}.csv"
+        dataio.save_spectrum_csv(path, sp.Spectrum(ds.spectrum.field_mt, curve))
+        assert path.read_bytes() == (tmp_path / f"demo_fit_{ds.name}.csv").read_bytes()
+
+
+def test_cli_fit_trepr_nonconvergence_exit_code(tmp_path, capsys):
+    argv = _shared_scheme_fit(tmp_path, "n_starts = 1\nmax_iterations = 2\n")
+    rc = cli.entry(argv)
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert "non-convergence" in captured.err
+    assert "converged: False" in captured.out
+    # outputs are still written so the partial result can be inspected
+    report = (tmp_path / "demo_fit_report.txt").read_text()
+    assert "start_converged: False, False" in report
+    assert (tmp_path / "demo_fit_crystal_b.csv").exists()
 
 
 def _ta_fixture(tmp_path, lifetimes=(1.1, 4.63e7), noise=0.01, seed=3):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -212,6 +214,49 @@ def test_fit_deterministic(system, crystal_bases):
     assert r1.params == r2.params
     assert r1.scales == r2.scales
     assert r1.start_costs == r2.start_costs
+
+
+def test_converged_follows_lowest_cost_start(system, crystal_bases):
+    datasets = _datasets(crystal_bases[:1], ORIENTATIONS[:1], noise=0.01, seed=11)
+    start = pol.QuartetPolarizationParams(a=(0.11, 0.3, -0.027), r=TABLE_PARAMS.r)
+    problem = _problem(system, datasets, ("a2",), start_params=start, n_starts=2, max_iterations=3)
+    result = fit.fit_simultaneous(problem)
+    assert len(result.start_converged) == len(result.start_costs) == 3
+    assert result.converged is False
+    assert result.converged == result.start_converged[int(np.argmin(result.start_costs))]
+    assert "start_converged: False, False, False" in fit.fit_report(problem, result)
+
+
+def test_converged_ignores_other_starts(system, crystal_bases, monkeypatch):
+    # The lowest-cost start stopped early while a worse start converged.
+    outcomes = iter([(2.0, True), (1.0, False)])
+
+    def scripted_minimize(fun, x0, **kwargs):
+        cost, success = next(outcomes)
+        return SimpleNamespace(x=x0, fun=cost, success=success, message="scripted")
+
+    monkeypatch.setattr(fit, "minimize", scripted_minimize)
+    datasets = _datasets(crystal_bases[:1], ORIENTATIONS[:1])
+    problem = _problem(system, datasets, ("rho_n",), n_starts=2)
+    result = fit.fit_simultaneous(problem)
+    assert result.start_costs == (2.0, 1.0)
+    assert result.start_converged == (True, False)
+    assert result.converged is False
+
+
+def test_prepared_model_matches_problem_calls(system, crystal_bases):
+    datasets = _datasets(crystal_bases, ORIENTATIONS, noise=0.02, seed=5)
+    problem = _problem(system, datasets, ("a2",), n_starts=1)
+    model = fit.FitModel.build(problem)
+    result = fit.fit_simultaneous(problem, model)
+    assert result.cost == fit.fit_simultaneous(problem).cost
+    args = (problem, result.params, result.nuclear, result.scales)
+    r = fit.residual(*args, model=model)
+    assert np.array_equal(r, fit.residual(*args))
+    for a, b in zip(fit.evaluate_model(*args, model=model), fit.evaluate_model(*args)):
+        assert np.array_equal(a, b)
+    # the reported cost is the squared norm of the residual at the optimum
+    assert_allclose(float(r @ r), result.cost, rtol=1e-9)
 
 
 def test_fit_report_fields(system, crystal_bases):
