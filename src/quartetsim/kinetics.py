@@ -168,6 +168,7 @@ class GlobalFitResult:
     concentrations: np.ndarray
     residual_norm: float
     start_costs: tuple[float, ...]
+    start_converged: tuple[bool, ...]
     n_evaluations: int
     converged: bool
     flat_objective: bool
@@ -197,6 +198,7 @@ def global_fit(
             concentrations=conc,
             residual_norm=0.0,
             start_costs=(0.0,),
+            start_converged=(True,),
             n_evaluations=0,
             converged=True,
             flat_objective=True,
@@ -252,7 +254,7 @@ def global_fit(
 
     best = None
     start_costs = []
-    converged = False
+    start_converged = []
     for x_start in starts:
         res = minimize(
             objective,
@@ -266,7 +268,7 @@ def global_fit(
             },
         )
         start_costs.append(float(res.fun))
-        converged = converged or bool(res.success)
+        start_converged.append(bool(res.success))
         if best is None or res.fun < best.fun:
             best = res
 
@@ -280,8 +282,9 @@ def global_fit(
         concentrations=conc,
         residual_norm=float(np.linalg.norm(resid)),
         start_costs=tuple(start_costs),
+        start_converged=tuple(start_converged),
         n_evaluations=n_evals,
-        converged=converged,
+        converged=bool(best.success),
         flat_objective=False,
         seed=settings.seed,
         message=str(best.message),
@@ -323,4 +326,5 @@ def kinetic_report(result: GlobalFitResult, time_unit: str = "") -> str:
         lines.append(f"tau_{i + 1}: {tau:.6g}{unit}")
     lines.append(f"irf_fwhm: {result.model.irf_fwhm:.6g}{unit}")
     lines.append(f"t0: {result.model.t0:.6g}{unit}")
+    lines.append("start_converged: " + ", ".join(str(c) for c in result.start_converged))
     return "\n".join(lines)

@@ -253,13 +253,13 @@ def eigenbasis_populations(
 
 
 def thermal_populations(energies_mhz: np.ndarray, temperature_k: float) -> np.ndarray:
-    """Normalized Boltzmann weights for level energies given in MHz."""
+    """Normalized Boltzmann weights for level energies in MHz, one level set per last-axis row."""
     if not math.isfinite(temperature_k) or temperature_k <= 0:
         raise ValueError(f"temperature must be positive, got {temperature_k}")
     energies = np.asarray(energies_mhz, dtype=float)
     beta_mhz = PLANCK_J_PER_HZ * 1e6 / (BOLTZMANN_J_PER_K * temperature_k)
-    weights = np.exp(-beta_mhz * (energies - energies.min()))
-    return weights / weights.sum()
+    weights = np.exp(-beta_mhz * (energies - energies.min(axis=-1, keepdims=True)))
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def triplet_zero_field_states(axes: np.ndarray | None = None) -> np.ndarray:

@@ -8,7 +8,10 @@ the transverse transition moment, the population difference of the exact
 eigenstates and the field-frequency conversion factor |d nu / dB|.  Sticks
 are then convolved with a unit-area lineshape, and finally accumulated over
 a deterministic orientation grid (isotropic powder or a liquid-crystal
-alignment distribution).
+alignment distribution).  One engine, :func:`orientation_average`, does
+this orientation sum for every spectrum: the quartet dimer, its basis
+spectra, the triplet precursor and the CW doublet each supply only their
+Hamiltonian, spin operators and population channels per orientation.
 
 Sign convention: positive intensity is enhanced absorption, negative is
 emission.  With thermal populations every stick amplitude is non-negative.
@@ -272,15 +275,6 @@ class ThermalChannel:
 class SearchDiagnostics:
     n_sticks: int = 0
     n_discarded_slope: int = 0
-    n_grid_points: int = 0
-
-
-def _thermal_grid(evals: np.ndarray, temperature_k: float) -> np.ndarray:
-    from .constants import BOLTZMANN_J_PER_K, PLANCK_J_PER_HZ
-
-    beta = PLANCK_J_PER_HZ * 1e6 / (BOLTZMANN_J_PER_K * temperature_k)
-    w = np.exp(-beta * (evals - evals.min(axis=1, keepdims=True)))
-    return (w / w.sum(axis=1, keepdims=True))[:, None, :]
 
 
 def find_resonances(
@@ -319,7 +313,7 @@ def find_resonances(
     bracket = (f_grid[:-1] * f_grid[1:] < 0) | ((f_grid[:-1] == 0) & (f_grid[1:] != 0))
     hit_k, hit_p = np.nonzero(bracket)
 
-    diag = SearchDiagnostics(n_grid_points=len(bgrid))
+    diag = SearchDiagnostics()
     if len(hit_k) == 0:
         return [], diag
 
@@ -327,7 +321,7 @@ def find_resonances(
     evals, evecs = np.linalg.eigh(hs[needed])
 
     if isinstance(channels, ThermalChannel):
-        pops = _thermal_grid(evals, channels.temperature_k)
+        pops = pol.thermal_populations(evals, channels.temperature_k)[:, None, :]
     else:
         overlap = np.abs(np.matmul(channels.states.conj().T[None, :, :], evecs)) ** 2
         pops = np.einsum("cr,nrd->ncd", channels.weights, overlap)
@@ -486,25 +480,70 @@ def intensity_extent(spectrum: Spectrum, fraction: float = 0.99) -> tuple[float,
     return float(spectrum.field_mt[above[0]]), float(spectrum.field_mt[above[-1]])
 
 
-def _transverse_axes(orientation: LabOrientation) -> tuple[np.ndarray, np.ndarray]:
+def _transverse_ops(
+    orientation: LabOrientation, spin_xyz: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Components of ``spin_xyz`` along two axes perpendicular to the field."""
     n = orientation.unit_vector()
     ref = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     a = np.cross(ref, n)
     a /= np.linalg.norm(a)
-    return a, np.cross(n, a)
+    b = np.cross(n, a)
+    return sum(a[c] * spin_xyz[c] for c in range(3)), sum(b[c] * spin_xyz[c] for c in range(3))
 
 
-def _dimer_operators(orientation: LabOrientation):
+def orientation_average(
+    parts,
+    sweep: FieldSweepConfig,
+    orientations: list[LabOrientation],
+    weights: np.ndarray,
+    n_channels: int,
+    fold=None,
+) -> tuple[np.ndarray, SearchDiagnostics]:
+    """Weighted sum over orientations of convolved resonance spectra.
+
+    ``parts(orientation)`` returns ``(h0, h1, spin_xyz, channels)``: the
+    Hamiltonian ``h0 + B h1`` in MHz (B in mT), the x, y, z spin operators
+    whose components transverse to the field drive the transitions, and the
+    population channels for :func:`find_resonances`.  Each orientation
+    gives an ``(n_channels, n_points)`` block, zero where nothing resonates,
+    and the total is ``sum(weight * block)`` in orientation order.  A
+    ``fold(orientation, weight, block)`` takes each block instead; the
+    returned total then stays zero.
+    """
+    total = np.zeros((n_channels, sweep.n_points))
+    diags = SearchDiagnostics()
+    for orientation, weight in zip(orientations, weights):
+        h0, h1, spin_xyz, channels = parts(orientation)
+        transverse = _transverse_ops(orientation, spin_xyz)
+        sticks, diag = find_resonances(h0, h1, sweep, channels, transverse)
+        diags.n_sticks += diag.n_sticks
+        diags.n_discarded_slope += diag.n_discarded_slope
+        block = convolve_lineshape(sticks, sweep) if sticks else np.zeros_like(total)
+        if fold is None:
+            total += weight * block
+        else:
+            fold(orientation, weight, block)
+    return total, diags
+
+
+def _dimer_parts(spec: SpinSystemSpec, channels_at):
+    """``parts`` of the coupled dimer, with populations from ``channels_at(orientation)``."""
     ops = spincore.product_operators()
-    s_tot = [ops["triplet"][c] + ops["doublet"][c] for c in range(3)]
-    nuc = ops["nucleus"]
-    a, b = _transverse_axes(orientation)
-    n = orientation.unit_vector()
-    sa = sum(a[c] * s_tot[c] for c in range(3))
-    sb = sum(b[c] * s_tot[c] for c in range(3))
-    sn = sum(n[c] * s_tot[c] for c in range(3))
-    inuc = sum(n[c] * nuc[c] for c in range(3))
-    return sa, sb, sn, inuc
+    s_tot = tuple(ops["triplet"][c] + ops["doublet"][c] for c in range(3))
+
+    def parts(orientation: LabOrientation):
+        h0, h1 = spincore.hamiltonian_parts(spec, orientation)
+        return h0, h1, s_tot, channels_at(orientation)
+
+    return parts
+
+
+def _model_channels(spec: SpinSystemSpec, model: pol.PolarizationModel):
+    """Single population channel of ``model`` as a function of orientation."""
+    if isinstance(model, pol.ThermalPolarization):
+        return lambda orientation: ThermalChannel(model.temperature_k)
+    return lambda orientation: _photo_channels(spec, orientation, model)
 
 
 def _photo_channels(
@@ -544,43 +583,14 @@ def stick_spectrum(
     sweep: FieldSweepConfig,
 ) -> list[Stick]:
     """Resonance sticks of the dimer at one orientation (single channel)."""
-    h0, h1 = spincore.hamiltonian_parts(spec, orientation)
-    sa, sb, sn, inuc = _dimer_operators(orientation)
-    if isinstance(model, pol.ThermalPolarization):
-        channels: PopulationChannels | ThermalChannel = ThermalChannel(model.temperature_k)
-    else:
-        channels = _photo_channels(spec, orientation, model)
-    sticks, _ = find_resonances(h0, h1, sweep, channels, (sa, sb), sn, inuc)
+    h0, h1, s_tot, channels = _dimer_parts(spec, _model_channels(spec, model))(orientation)
+    nuc = spincore.product_operators()["nucleus"]
+    n = orientation.unit_vector()
+    sn = sum(n[c] * s_tot[c] for c in range(3))
+    inuc = sum(n[c] * nuc[c] for c in range(3))
+    transverse = _transverse_ops(orientation, s_tot)
+    sticks, _ = find_resonances(h0, h1, sweep, channels, transverse, sn, inuc)
     return sticks
-
-
-def _accumulate_dimer(
-    spec: SpinSystemSpec,
-    sweep: FieldSweepConfig,
-    orientations: list[LabOrientation],
-    weights: np.ndarray,
-    channel_factory,
-    n_channels: int,
-    per_orientation=None,
-):
-    total = np.zeros((n_channels, sweep.n_points))
-    diags = SearchDiagnostics()
-    for idx, (orientation, weight) in enumerate(zip(orientations, weights)):
-        h0, h1 = spincore.hamiltonian_parts(spec, orientation)
-        sa, sb, _, _ = _dimer_operators(orientation)
-        channels = channel_factory(orientation)
-        sticks, diag = find_resonances(h0, h1, sweep, channels, (sa, sb))
-        diags.n_sticks += diag.n_sticks
-        diags.n_discarded_slope += diag.n_discarded_slope
-        diags.n_grid_points = diag.n_grid_points
-        block = convolve_lineshape(sticks, sweep)
-        if block.shape[0] != n_channels:  # no sticks for this orientation
-            block = np.zeros((n_channels, sweep.n_points))
-        if per_orientation is None:
-            total += weight * block
-        else:
-            per_orientation(idx, orientation, weight, block, total)
-    return total, diags
 
 
 def simulate_dimer(
@@ -591,12 +601,8 @@ def simulate_dimer(
 ) -> Spectrum:
     """Full simulation of the coupled-dimer spectrum for one scheme."""
     orientations, weights = scheme_orientations(scheme)
-
-    if isinstance(model, pol.ThermalPolarization):
-        factory = lambda o: ThermalChannel(model.temperature_k)  # noqa: E731
-    else:
-        factory = lambda o: _photo_channels(spec, o, model)  # noqa: E731
-    total, diags = _accumulate_dimer(spec, sweep, orientations, weights, factory, 1)
+    parts = _dimer_parts(spec, _model_channels(spec, model))
+    total, diags = orientation_average(parts, sweep, orientations, weights, 1)
     meta = {
         "kind": "dimer",
         "scheme": scheme_metadata(scheme),
@@ -643,7 +649,7 @@ def quartet_basis_spectra(
     orientations, weights = scheme_orientations(scheme)
     tensor = np.zeros((6, 8, sweep.n_points))
 
-    def accumulate(idx, orientation, weight, block, _total):
+    def fold(orientation, weight, block):
         theta_q, phi_q = pol.field_in_quartet_frame(spec.frames, orientation)
         sin2 = math.sin(theta_q) ** 2
         cos2 = math.cos(theta_q) ** 2
@@ -654,7 +660,8 @@ def quartet_basis_spectra(
         for p in range(6):
             tensor[p] += weight * angular[p] * shaped[_PARAM_STRUCTURES[p]]
 
-    _accumulate_dimer(spec, sweep, orientations, weights, _basis_channels, 24, accumulate)
+    parts = _dimer_parts(spec, _basis_channels)
+    orientation_average(parts, sweep, orientations, weights, 24, fold)
     return QuartetBasisSpectra(sweep.field_axis(), tensor)
 
 
@@ -675,30 +682,24 @@ def simulate_triplet(
         p = np.asarray(populations.populations)
     else:
         p = np.asarray(populations, dtype=float)
-    sx, sy, sz = spincore.spin_operators(1.0)
-    ops = (sx, sy, sz)
+    ops = spincore.spin_operators(1.0)
     principal = np.array([-zfs_d_mhz / 3 + zfs_e_mhz, -zfs_d_mhz / 3 - zfs_e_mhz, 2 * zfs_d_mhz / 3])
     h0 = sum(principal[c] * ops[c] @ ops[c] for c in range(3))
     channels = PopulationChannels(pol.triplet_zero_field_states(), p[None, :])
-    orientations, weights = powder_orientations(grid_size)
-    total = np.zeros(sweep.n_points)
-    n_sticks = 0
-    for orientation, weight in zip(orientations, weights):
+
+    def parts(orientation: LabOrientation):
         n = orientation.unit_vector()
-        h1 = g * BOHR_MHZ_PER_MT * sum(n[c] * ops[c] for c in range(3))
-        a, b = _transverse_axes(orientation)
-        sa = sum(a[c] * ops[c] for c in range(3))
-        sb = sum(b[c] * ops[c] for c in range(3))
-        sticks, diag = find_resonances(h0, h1, sweep, channels, (sa, sb))
-        n_sticks += diag.n_sticks
-        total += weight * convolve_lineshape(sticks, sweep)[0]
+        return h0, g * BOHR_MHZ_PER_MT * sum(n[c] * ops[c] for c in range(3)), ops, channels
+
+    orientations, weights = powder_orientations(grid_size)
+    total, diags = orientation_average(parts, sweep, orientations, weights, 1)
     meta = {
         "kind": "triplet",
         "sweep": sweep_metadata(sweep),
         "grid_size": grid_size,
-        "diagnostics": {"sticks": n_sticks},
+        "diagnostics": {"sticks": diags.n_sticks},
     }
-    return Spectrum(sweep.field_axis(), total, meta)
+    return Spectrum(sweep.field_axis(), total[0], meta)
 
 
 def simulate_cw_doublet(
@@ -714,30 +715,20 @@ def simulate_cw_doublet(
     field derivative of the absorption envelope.  Slow-motional dynamics is
     out of scope.
     """
-    sx, sy, sz = spincore.spin_operators(0.5)
-    ix, iy, iz = spincore.spin_operators(3.5)
-    s_ops = tuple(np.kron(op, np.eye(8)) for op in (sx, sy, sz))
-    i_ops = tuple(np.kron(np.eye(2), op) for op in (ix, iy, iz))
-    a_mat = a_tensor.matrix()
-    h0 = np.zeros((16, 16), dtype=complex)
-    for a in range(3):
-        for b in range(3):
-            if a_mat[a, b] != 0.0:
-                h0 += a_mat[a, b] * (i_ops[a] @ s_ops[b])
+    s_ops = tuple(np.kron(op, np.eye(8)) for op in spincore.spin_operators(0.5))
+    i_ops = tuple(np.kron(np.eye(2), op) for op in spincore.spin_operators(3.5))
+    h0 = spincore.bilinear(a_tensor.matrix(), i_ops, s_ops)
     g_mat = g_tensor.matrix()
+    thermal = ThermalChannel(temperature_k)
+
+    def parts(orientation: LabOrientation):
+        g_row = orientation.unit_vector() @ g_mat
+        return h0, BOHR_MHZ_PER_MT * sum(g_row[c] * s_ops[c] for c in range(3)), s_ops, thermal
+
     orientations, weights = powder_orientations(grid_size)
-    total = np.zeros(sweep.n_points)
-    for orientation, weight in zip(orientations, weights):
-        n = orientation.unit_vector()
-        g_row = n @ g_mat
-        h1 = BOHR_MHZ_PER_MT * sum(g_row[c] * s_ops[c] for c in range(3))
-        a_ax, b_ax = _transverse_axes(orientation)
-        sa = sum(a_ax[c] * s_ops[c] for c in range(3))
-        sb = sum(b_ax[c] * s_ops[c] for c in range(3))
-        sticks, _ = find_resonances(h0, h1, sweep, ThermalChannel(temperature_k), (sa, sb))
-        total += weight * convolve_lineshape(sticks, sweep)[0]
+    total, _ = orientation_average(parts, sweep, orientations, weights, 1)
     axis = sweep.field_axis()
-    derivative = np.gradient(total, axis)
+    derivative = np.gradient(total[0], axis)
     meta = {
         "kind": "cw-doublet",
         "sweep": sweep_metadata(sweep),

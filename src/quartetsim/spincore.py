@@ -386,8 +386,9 @@ def product_operators() -> dict[str, tuple[np.ndarray, ...]]:
     }
 
 
-def _bilinear(tensor: np.ndarray, left: tuple[np.ndarray, ...], right: tuple[np.ndarray, ...]) -> np.ndarray:
-    out = np.zeros((DIM, DIM), dtype=complex)
+def bilinear(tensor: np.ndarray, left: tuple[np.ndarray, ...], right: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``sum_ab tensor[a, b] left[a] @ right[b]``, skipping zero tensor entries."""
+    out = np.zeros(left[0].shape, dtype=complex)
     for a in range(3):
         for b in range(3):
             if tensor[a, b] != 0.0:
@@ -403,9 +404,9 @@ def _field_free_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
     j_mhz = spec.exchange_mhz
     for a in range(3):
         h -= j_mhz * (s1[a] @ s2[a])
-    h += _bilinear(spec.dipolar_tensor().matrix(), s1, s2)
-    h += _bilinear(spec.zfs.matrix(), s1, s1)
-    h += _bilinear(spec.a_vo.matrix(), nuc, s2)
+    h += bilinear(spec.dipolar_tensor().matrix(), s1, s2)
+    h += bilinear(spec.zfs.matrix(), s1, s1)
+    h += bilinear(spec.a_vo.matrix(), nuc, s2)
     return h
 
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -221,6 +222,7 @@ def test_global_fit_zero_data_flat():
     data = kin.TADataset(t, w, np.zeros((60, 12)))
     result = kin.global_fit(data, kin.SequentialModel((1.0, 10.0)))
     assert result.flat_objective
+    assert result.start_converged == (True,)
     assert result.residual_norm == 0.0
     assert np.abs(result.eas).max() == 0.0
     assert result.model.lifetimes == (1.0, 10.0)
@@ -264,5 +266,25 @@ def test_kinetic_report_fields():
     data = kin.synthetic_dataset(kin.SequentialModel((5.0, 20.0)), _three_band_eas(w, 2), t, w)
     result = kin.global_fit(data, kin.SequentialModel((6.0, 15.0)))
     report = kin.kinetic_report(result, time_unit="ps")
-    for token in ("tau_1:", "tau_2:", "ps", "converged:", "residual_norm:"):
+    for token in ("tau_1:", "tau_2:", "ps", "converged:", "residual_norm:", "start_converged:"):
         assert token in report
+
+
+def test_converged_ignores_other_starts(monkeypatch):
+    # The lowest-cost start stopped early while a worse start converged.
+    outcomes = iter([(2.0, True), (1.0, False)])
+
+    def scripted_minimize(fun, x0, **kwargs):
+        cost, success = next(outcomes)
+        return SimpleNamespace(x=x0, fun=cost, success=success, message="scripted")
+
+    monkeypatch.setattr(kin, "minimize", scripted_minimize)
+    t = np.geomspace(0.01, 100.0, 80)
+    w = np.linspace(400, 500, 15)
+    data = kin.synthetic_dataset(kin.SequentialModel((5.0, 20.0)), _three_band_eas(w, 2), t, w)
+    settings = kin.KineticFitSettings(n_starts=2)
+    result = kin.global_fit(data, kin.SequentialModel((6.0, 15.0)), settings=settings)
+    assert result.start_costs == (2.0, 1.0)
+    assert result.start_converged == (True, False)
+    assert result.converged is False
+    assert "start_converged: True, False" in kin.kinetic_report(result)

@@ -195,6 +195,15 @@ def test_thermal_populations_two_levels():
     assert pops[0] > pops[1]
 
 
+def test_thermal_populations_rows_of_a_batch():
+    energies = np.random.default_rng(7).uniform(-5000.0, 5000.0, (5, 48))
+    batch = pol.thermal_populations(energies, 80.0)
+    assert batch.shape == energies.shape
+    for row, levels in zip(batch, energies):
+        assert row.tobytes() == pol.thermal_populations(levels, 80.0).tobytes()
+    assert_allclose(batch.sum(axis=1), 1.0, rtol=1e-12)
+
+
 def test_thermal_populations_limits():
     energies = np.array([0.0, 100.0, 200.0])
     hot = pol.thermal_populations(energies, 1e9)

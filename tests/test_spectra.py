@@ -225,6 +225,16 @@ def test_basis_spectra_reproduce_direct_simulation():
     assert np.abs(combined - direct.intensity).max() < 1e-9 * scale
 
 
+def test_basis_spectra_zero_where_nothing_resonates():
+    # No transition of the dimer reaches X band between 20 and 40 mT, so
+    # every orientation takes the engine's zero-fill path.
+    spec = sc.vanadyl_porphyrin_dimer()
+    sweep = sp.FieldSweepConfig(field_start_mt=20.0, field_stop_mt=40.0, n_points=128, search_points=64)
+    basis = sp.quartet_basis_spectra(spec, sweep, sp.SingleOrientationScheme(0.9, 1.7))
+    assert basis.tensor.shape == (6, 8, 128)
+    assert not basis.tensor.any()
+
+
 def test_simulation_covariant_under_global_rotation():
     spec = sc.vanadyl_porphyrin_dimer()
     rot = sc.rotation_matrix((0.7, 1.1, -0.4))
