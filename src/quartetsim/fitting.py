@@ -34,6 +34,9 @@ FREE_NAMES = PARAM_NAMES + ("rho_n",)
 # cannot wander off to regions where softmax saturates completely.
 _LOGIT_BOUND = 12.0
 
+# Edge of every Nelder-Mead start simplex, as a fraction of each parameter's bound span.
+_SIMPLEX_STEP = 0.05
+
 
 @dataclass(frozen=True)
 class FitDataset:
@@ -279,16 +282,25 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
             scan[pos] = grid[int(np.argmin([objective(t) for t in trials]))]
         starts.insert(1, scan)
 
+    # scipy's default start simplex steps 5% of each coordinate and 0.00025
+    # where it is zero, as are all logits of uniform populations; such a
+    # simplex stalls in shallow local minima.  Step each parameter by
+    # _SIMPLEX_STEP of its bound span instead, away from its upper bound.
+    step = _SIMPLEX_STEP * span
+    upper = np.array([b[1] for b in bounds])
+
     best = None
     start_costs = []
     start_converged = []
     for x_start in starts:
+        offsets = np.diag(np.where(x_start + step <= upper, step, -step))
         res = minimize(
             objective,
             x_start,
             method="Nelder-Mead",
             bounds=bounds,
             options={
+                "initial_simplex": np.vstack([x_start, x_start + offsets]),
                 "maxiter": problem.settings.max_iterations,
                 "xatol": problem.settings.tolerance,
                 "fatol": problem.settings.tolerance,

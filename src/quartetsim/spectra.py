@@ -1,11 +1,12 @@
 """Field-swept spectra: resonance search, lineshapes and orientation averages.
 
 A spectrum is assembled in three stages.  For one orientation of the field
-in the molecular frame, the Hamiltonian is diagonalized on a dense field
-grid and level-pair transition frequencies are scanned for crossings of the
-microwave frequency; each crossing becomes a stick whose amplitude combines
-the transverse transition moment, the population difference of the exact
-eigenstates and the field-frequency conversion factor |d nu / dB|.  Sticks
+in the molecular frame, level-pair transition frequencies on a coarse field
+grid bracket the crossings of the microwave frequency, and cubic Hermite
+models with exact slopes locate them; each crossing becomes a stick whose
+amplitude combines the transverse transition moment, the population
+difference of the exact eigenstates and the field-frequency conversion
+factor |d nu / dB|.  Sticks
 are then convolved with a unit-area lineshape, and finally accumulated over
 a deterministic orientation grid (isotropic powder or a liquid-crystal
 alignment distribution).  One engine, :func:`orientation_average`, does
@@ -20,13 +21,13 @@ emission.  With thermal populations every stick amplitude is non-negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
 from . import polarization as pol
 from . import spincore
-from .constants import BOHR_MHZ_PER_MT
+from .constants import BOHR_MHZ_PER_MT, BOLTZMANN_J_PER_K, PLANCK_J_PER_HZ
 from .spincore import LabOrientation, SpinSystemSpec
 
 QUAD_STRUCTURE = np.array([1.0, -1.0, -1.0, 1.0])
@@ -43,11 +44,16 @@ LINESHAPES = ("lorentzian", "gaussian")
 class FieldSweepConfig:
     """Sweep window, detection frequency and lineshape settings.
 
-    ``search_points`` sets the density of the field grid used for the
-    resonance search; ``slope_floor_ghz_per_mt`` discards effectively
-    field-independent transitions whose formal amplitude would diverge.
-    ``pad_linewidths`` widens the search window so lines sitting just
-    outside the plotted range still contribute their tails.
+    ``search_points`` sets the step of the initial field grid of the
+    resonance search: that of ``search_points`` points across the sweep
+    window.  The grid only brackets resonances; stick fields come from cubic
+    Hermite roots with exact slopes (see :func:`find_resonances`), so the
+    default 151 points match a 4801-point search to well below 1e-4 mT.
+    ``slope_floor_ghz_per_mt`` discards effectively field-independent
+    transitions whose formal amplitude would diverge.  ``pad_linewidths``
+    widens the search window to [max(0, start - pad), stop + pad], with
+    pad = ``pad_linewidths * linewidth_mt``, so lines sitting just outside
+    the plotted range still contribute their tails.
     """
 
     mw_frequency_ghz: float = 9.5
@@ -56,7 +62,7 @@ class FieldSweepConfig:
     n_points: int = 1024
     lineshape: str = "lorentzian"
     linewidth_mt: float = 1.8
-    search_points: int = 601
+    search_points: int = 151
     slope_floor_ghz_per_mt: float = 1e-4
     pad_linewidths: float = 12.0
 
@@ -273,8 +279,164 @@ class ThermalChannel:
 
 @dataclass
 class SearchDiagnostics:
+    """What the resonance search did, summed over the orientations of a spectrum.
+
+    ``n_polished`` counts sticks taken from a diagonalization at their own
+    field; ``n_tie_fallback`` and ``n_untracked_fallback`` count brackets
+    where eigenvector-overlap tracking gave both levels the same partner or
+    a tracked pair that does not bracket, so sorted labels were used;
+    ``n_subdivided`` counts grid segments halved for a possible double
+    crossing.
+    """
+
     n_sticks: int = 0
     n_discarded_slope: int = 0
+    n_polished: int = 0
+    n_tie_fallback: int = 0
+    n_untracked_fallback: int = 0
+    n_subdivided: int = 0
+
+    def add(self, other: "SearchDiagnostics") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+    def metadata(self) -> dict:
+        return {
+            "sticks": self.n_sticks,
+            "discarded_flat_transitions": self.n_discarded_slope,
+            "polished_sticks": self.n_polished,
+            "tie_fallbacks": self.n_tie_fallback,
+            "untracked_fallbacks": self.n_untracked_fallback,
+            "subdivided_segments": self.n_subdivided,
+        }
+
+
+# A segment is halved while some transition frequency could dip through the
+# microwave frequency inside it: both ends on one side, the nearer end within
+# _SAG_SAFETY times the largest sag |f''| h^2 / 8 that the curvature at its
+# ends allows.  At most _MAX_HALVINGS rounds.
+_SAG_SAFETY = 4.0
+_MAX_HALVINGS = 8
+# A bracket whose cubic-Hermite and secant roots lie farther apart than the
+# field accuracy the search aims for is polished at its root.
+_POLISH_FIELD_MT = 1e-4
+
+
+def _search_grid(sweep: FieldSweepConfig) -> np.ndarray:
+    """Uniform grid over [max(0, start - pad), stop + pad], no coarser than the search step."""
+    pad = sweep.pad_linewidths * sweep.linewidth_mt
+    lo = max(0.0, sweep.field_start_mt - pad)
+    hi = sweep.field_stop_mt + pad
+    step = (sweep.field_stop_mt - sweep.field_start_mt) / (sweep.search_points - 1)
+    return np.linspace(lo, hi, int(math.ceil((hi - lo) / step - 1e-9)) + 1)
+
+
+def _double_crossing_risk(bgrid: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Segments whose ends share a sign but whose curvature allows two crossings."""
+    h = np.diff(bgrid)
+    secant = np.diff(f, axis=0) / h[:, None]
+    # Only pairs that come within two grid steps' travel of zero can qualify.
+    near = np.abs(f).min(axis=0) < 2.0 * h.max() * np.abs(secant).max(axis=0)
+    f, secant = f[:, near], secant[:, near]
+    curvature = np.zeros_like(f)
+    curvature[1:-1] = 2.0 * np.diff(secant, axis=0) / (h[:-1] + h[1:])[:, None]
+    side = np.sign(f[:-1])
+    # Positive values bend the curve toward zero between the segment's ends.
+    bend = np.maximum(curvature[:-1] * side, curvature[1:] * side)
+    nearest = np.minimum(np.abs(f[:-1]), np.abs(f[1:]))
+    risky = (f[:-1] * f[1:] > 0) & (nearest < _SAG_SAFETY * bend * (h**2 / 8.0)[:, None])
+    return risky.any(axis=1)
+
+
+def _hermite(t, y0, y1, m0, m1, derivative=False):
+    """Cubic Hermite on [0, 1] with end values y0, y1 and end slopes m0, m1 (per unit t)."""
+    c2 = 3 * (y1 - y0) - 2 * m0 - m1
+    c3 = 2 * (y0 - y1) + m0 + m1
+    if derivative:
+        return m0 + t * (2 * c2 + 3 * t * c3)
+    return y0 + t * (m0 + t * (c2 + t * c3))
+
+
+def _hermite_root(f0, f1, m0, m1) -> np.ndarray:
+    """Root in [0, 1] of the cubic Hermite of f0, f1, m0, m1 where f0 and f1 bracket zero.
+
+    Safeguarded Newton from the secant root, keeping a sign-change bracket.
+    """
+    lo, hi = np.zeros_like(f0), np.ones_like(f0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(f0 / (f0 - f1), 0.0, 1.0)
+        for _ in range(60):
+            p = _hermite(t, f0, f1, m0, m1)
+            same = p * f0 > 0
+            lo = np.where(same, t, lo)
+            hi = np.where(same, hi, t)
+            nxt = t - p / _hermite(t, f0, f1, m0, m1, derivative=True)
+            nxt = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            nxt = np.where(p == 0, t, nxt)
+            if np.all(np.abs(nxt - t) <= 1e-14):
+                return nxt
+            t = nxt
+    return t
+
+
+def _level_derivatives(h1, evals, evecs, node, level):
+    """Eigenvector, its B-derivative and dE/dB of each (node, level) pair.
+
+    First-order perturbation theory: dv_l/dB = sum_m v_m <m|h1|l> / (E_l - E_m)
+    over the m outside l's degenerate set (where h1 cannot couple them), and
+    dE_l/dB = <l|h1|l> (Hellmann-Feynman).  The distinct levels of each node
+    form the columns of one padded block, so the work scales with the levels
+    used, not with all of them.
+    """
+    dim = evecs.shape[1]
+    keys, inverse = np.unique(node * dim + level, return_inverse=True)
+    key_node = keys // dim
+    col = np.arange(len(keys)) - np.searchsorted(key_node, key_node)
+    cols = np.zeros((len(evecs), col.max() + 1), dtype=int)
+    cols[key_node, col] = keys % dim
+    vl = np.take_along_axis(evecs, cols[:, None, :], axis=2)
+    g = np.matmul(evecs.conj().transpose(0, 2, 1), np.matmul(h1, vl))
+    gap = np.take_along_axis(evals, cols, axis=1)[:, None, :] - evals[:, :, None]
+    tol = 1e-9 * (np.abs(evals).max() + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dvl = np.matmul(evecs, np.where(np.abs(gap) > tol, g / gap, 0.0))
+    c = col[inverse]
+    return vl[node, :, c], dvl[node, :, c], g[node, level, c].real
+
+
+def _populations(channels, h1, evals, evecs, node, level, v, dv):
+    """Populations (n, n_channels) of each (node, level) pair and their B-derivatives.
+
+    ``v`` and ``dv`` are those levels' eigenvectors and eigenvector
+    derivatives; thermal populations use every level at the node instead.
+    """
+    if isinstance(channels, ThermalChannel):
+        slopes = np.einsum("ndk,ndk->nk", evecs.conj(), np.matmul(h1, evecs)).real
+        p = pol.thermal_populations(evals, channels.temperature_k)
+        beta = PLANCK_J_PER_HZ * 1e6 / (BOLTZMANN_J_PER_K * channels.temperature_k)
+        dp = -beta * p * (slopes - (p * slopes).sum(axis=-1, keepdims=True))
+        return p[node, level][:, None], dp[node, level][:, None]
+    amp = v @ channels.states.conj()
+    d_overlap = 2 * (amp.conj() * (dv @ channels.states.conj())).real
+    return np.abs(amp) ** 2 @ channels.weights.T, d_overlap @ channels.weights.T
+
+
+def _moment(ops, u, w, du, dw) -> tuple[np.ndarray, np.ndarray]:
+    """Transition moment sum_a |<u|op_a|w>|^2 of each row pair and its B-derivative."""
+    value = np.zeros(len(u))
+    deriv = np.zeros(len(u))
+    for op in ops:
+        ow, odw = w @ op.T, dw @ op.T
+        elem = np.einsum("nd,nd->n", u.conj(), ow)
+        d_elem = np.einsum("nd,nd->n", du.conj(), ow) + np.einsum("nd,nd->n", u.conj(), odw)
+        value += np.abs(elem) ** 2
+        deriv += 2 * (elem.conj() * d_elem).real
+    return value, deriv
+
+
+def _track(u: np.ndarray, evecs: np.ndarray) -> np.ndarray:
+    """Index of the column of each ``evecs[n]`` with the largest overlap with ``u[n]``."""
+    return np.abs(np.einsum("nd,ndk->nk", u.conj(), evecs)).argmax(axis=1)
 
 
 def find_resonances(
@@ -288,107 +450,158 @@ def find_resonances(
 ) -> tuple[list[Stick], SearchDiagnostics]:
     """Locate all microwave resonances of ``h0 + B h1`` in the sweep window.
 
-    Dense-grid search: eigenvalues on a uniform field grid, sign changes of
-    (transition frequency - microwave frequency) bracketed and refined by
-    linear interpolation.  Level identity across a bracket is resolved by
-    eigenvector overlap, so populations, moments and slopes follow the
-    physical levels through crossings.  Transitions flatter than the slope
-    floor are discarded and counted in the diagnostics.
+    The search covers the sweep window padded by ``pad_linewidths``
+    linewidths on both sides (never below zero field) with a uniform grid
+    whose step is that of ``search_points`` points across the sweep window.
+    Eigenvalues come from the whole grid; a segment where some transition
+    frequency could cross the microwave frequency twice between its ends is
+    halved first.  A sign change of (transition frequency - nu) brackets a
+    resonance, and only bracket ends are diagonalized with eigenvectors.
+    Level identity across a bracket follows eigenvector overlap.
+
+    At both ends of a bracket, first-order perturbation theory in B gives
+    the exact level slopes dE/dB = <v|h1|v> (Hellmann-Feynman) and the
+    B-derivatives of transition moments and populations.  The tracked
+    transition frequency is a cubic Hermite on the bracket: its root is the
+    stick field and its derivative there the |d nu / dB| of the amplitude;
+    moment and populations are cubic Hermites too.  A bracket at risk (a
+    tracked label swapped inside it, a tracking fallback, or cubic and
+    secant roots apart by more than ``_POLISH_FIELD_MT``) is polished
+    instead: one diagonalization at the root, a Newton step, and moment,
+    populations, slope and labels from the root's own eigenvectors.
+
+    ``Stick.lower``/``upper`` are sorted level indices at the stick's
+    field.  Transitions flatter than the slope floor are discarded; every
+    fallback and refinement is counted in the diagnostics.
     """
-    pad = sweep.pad_linewidths * sweep.linewidth_mt
-    step = (sweep.field_stop_mt - sweep.field_start_mt) / (sweep.search_points - 1)
-    n_extra = int(math.ceil(pad / step))
-    lo = max(0.0, sweep.field_start_mt - n_extra * step)
-    n_lo = int(round((sweep.field_start_mt - lo) / step))
-    bgrid = sweep.field_start_mt + step * np.arange(-n_lo, sweep.search_points + n_extra)
     nu_mw = sweep.mw_frequency_mhz()
     dim = h0.shape[0]
-
-    # Eigenvalues everywhere, eigenvectors only where a bracket needs them.
-    hs = h0[None, :, :] + bgrid[:, None, None] * h1[None, :, :]
-    evals_grid = np.linalg.eigvalsh(hs)
-
     iu, ju = np.triu_indices(dim, 1)
+    diag = SearchDiagnostics()
+
+    def hamiltonians(fields: np.ndarray) -> np.ndarray:
+        return h0[None, :, :] + fields[:, None, None] * h1[None, :, :]
+
+    bgrid = _search_grid(sweep)
+    evals_grid = np.linalg.eigvalsh(hamiltonians(bgrid))
+    for _ in range(_MAX_HALVINGS):
+        risky = _double_crossing_risk(bgrid, evals_grid[:, ju] - evals_grid[:, iu] - nu_mw)
+        if not risky.any():
+            break
+        diag.n_subdivided += int(risky.sum())
+        mids = 0.5 * (bgrid[:-1][risky] + bgrid[1:][risky])
+        order = np.argsort(np.concatenate([bgrid, mids]), kind="stable")
+        bgrid = np.concatenate([bgrid, mids])[order]
+        evals_grid = np.concatenate([evals_grid, np.linalg.eigvalsh(hamiltonians(mids))])[order]
+
     f_grid = evals_grid[:, ju] - evals_grid[:, iu] - nu_mw
     bracket = (f_grid[:-1] * f_grid[1:] < 0) | ((f_grid[:-1] == 0) & (f_grid[1:] != 0))
     hit_k, hit_p = np.nonzero(bracket)
-
-    diag = SearchDiagnostics()
     if len(hit_k) == 0:
         return [], diag
 
+    # Eigenvectors only where a bracket needs them.  k and k+1 are adjacent
+    # integers, so their positions in the sorted unique array are adjacent too.
     needed = np.unique(np.concatenate([hit_k, hit_k + 1]))
-    evals, evecs = np.linalg.eigh(hs[needed])
-
-    if isinstance(channels, ThermalChannel):
-        pops = pol.thermal_populations(evals, channels.temperature_k)[:, None, :]
-    else:
-        overlap = np.abs(np.matmul(channels.states.conj().T[None, :, :], evecs)) ** 2
-        pops = np.einsum("cr,nrd->ncd", channels.weights, overlap)
-
-    # k and k+1 are adjacent integers, so their positions in the sorted
-    # unique array are adjacent as well.
+    evals, evecs = np.linalg.eigh(hamiltonians(bgrid[needed]))
     k0 = np.searchsorted(needed, hit_k)
     k1 = k0 + 1
     li = iu[hit_p]
     lj = ju[hit_p]
 
-    vi0 = evecs[k0, :, li]
-    vj0 = evecs[k0, :, lj]
     # Follow both levels into the next grid point by largest overlap.
-    right = evecs[k1]
-    i2 = np.abs(np.einsum("nd,ndk->nk", vi0.conj(), right)).argmax(axis=1)
-    j2 = np.abs(np.einsum("nd,ndk->nk", vj0.conj(), right)).argmax(axis=1)
+    i2 = _track(evecs[k0, :, li], evecs[k1])
+    j2 = _track(evecs[k0, :, lj], evecs[k1])
     tie = i2 == j2
     i2[tie] = li[tie]
     j2[tie] = lj[tie]
-
     f0 = evals[k0, lj] - evals[k0, li] - nu_mw
     f1 = evals[k1, j2] - evals[k1, i2] - nu_mw
     # Tracked branch may fail to bracket; fall back to sorted labels there.
-    bad = (f0 == f1) | (f0 * f1 > 0)
-    i2[bad] = li[bad]
-    j2[bad] = lj[bad]
-    f1 = np.where(bad, evals[k1, lj] - evals[k1, li] - nu_mw, f1)
+    untracked = (f0 == f1) | (f0 * f1 > 0)
+    i2[untracked] = li[untracked]
+    j2[untracked] = lj[untracked]
+    f1 = np.where(untracked, evals[k1, lj] - evals[k1, li] - nu_mw, f1)
+    diag.n_tie_fallback = int(tie.sum())
+    diag.n_untracked_fallback = int(untracked.sum())
 
+    # The four tracked levels of every bracket: lower and upper at each end.
+    nodes = np.concatenate([k0, k0, k1, k1])
+    levels = np.concatenate([li, lj, i2, j2])
+    v, dv, s = _level_derivatives(h1, evals, evecs, nodes, levels)
+    p, dp = _populations(channels, h1, evals, evecs, nodes, levels, v, dv)
+    v, dv, s, p, dp = (np.split(a, 4) for a in (v, dv, s, p, dp))
+
+    # Root of the tracked frequency's cubic; slopes and derivatives are per unit t.
+    h = bgrid[hit_k + 1] - bgrid[hit_k]
+    m0 = h * (s[1] - s[0])
+    m1 = h * (s[3] - s[2])
+    t = _hermite_root(f0, f1, m0, m1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = f0 / (f0 - f1)
-    slope = (f1 - f0) / step
+        secant = f0 / (f0 - f1)
+        slope = _hermite(t, f0, f1, m0, m1, derivative=True) / h
     valid = np.isfinite(t) & (t >= 0.0) & (t <= 1.0)
+    b_res = bgrid[hit_k] + t * h
+    polish = valid & (
+        (i2 != li) | (j2 != lj) | tie | untracked | ~(np.abs(secant - t) * h <= _POLISH_FIELD_MT)
+    )
+
+    # (value at t=0, value at t=1, slope at t=0, slope at t=1) of the moment
+    # and of both levels' populations.
+    mom0, dmom0 = _moment(transverse_ops, v[0], v[1], dv[0], dv[1])
+    mom1, dmom1 = _moment(transverse_ops, v[2], v[3], dv[2], dv[3])
+    hc = h[:, None]
+    ends = [
+        (mom0, mom1, h * dmom0, h * dmom1),
+        (p[0], p[2], hc * dp[0], hc * dp[2]),
+        (p[1], p[3], hc * dp[1], hc * dp[3]),
+    ]
+    if polish.any():
+        n = np.nonzero(polish)[0]
+        b_root = b_res[n]
+        e_r, v_r = np.linalg.eigh(hamiltonians(b_root))
+        early = (t[n] < 0.5)[:, None]
+        ir = _track(np.where(early, v[0][n], v[2][n]), v_r)
+        jr = _track(np.where(early, v[1][n], v[3][n]), v_r)
+        same = ir == jr
+        ir[same], jr[same] = li[n][same], lj[n][same]
+        ir, jr = np.minimum(ir, jr), np.maximum(ir, jr)
+        rows = np.arange(len(n))
+        root_nodes, root_levels = np.concatenate([rows, rows]), np.concatenate([ir, jr])
+        vr, dvr, sr = _level_derivatives(h1, e_r, v_r, root_nodes, root_levels)
+        pr, _ = _populations(channels, h1, e_r, v_r, root_nodes, root_levels, vr, dvr)
+        (u_r, w_r), (s_i, s_j), (p_i, p_j) = (np.split(a, 2) for a in (vr, sr, pr))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = -(e_r[rows, jr] - e_r[rows, ir] - nu_mw) / (s_j - s_i)
+        b_res[n] = b_root + np.where(np.abs(newton) <= h[n], newton, 0.0)
+        slope[n] = s_j - s_i
+        li, lj = li.copy(), lj.copy()
+        li[n], lj[n] = ir, jr
+        # Root values at both ends with zero slopes: the cubics return them.
+        zero = np.zeros_like(u_r)
+        roots = (_moment(transverse_ops, u_r, w_r, zero, zero)[0], p_i, p_j)
+        for (y0, y1, dy0, dy1), root in zip(ends, roots):
+            y0[n] = y1[n] = root
+            dy0[n] = dy1[n] = 0.0
+        for e, vec in enumerate((u_r, w_r, u_r, w_r)):
+            v[e][n] = vec
+
     slope_floor = sweep.slope_floor_ghz_per_mt * 1e3
     flat = valid & (np.abs(slope) < slope_floor)
     diag.n_discarded_slope = int(flat.sum())
-    keep = valid & ~flat
-    if not keep.any():
-        return [], diag
-
-    k0, k1, li, lj, i2, j2 = (arr[keep] for arr in (k0, k1, li, lj, i2, j2))
-    t, slope, f0 = t[keep], slope[keep], f0[keep]
-    vi0, vj0 = vi0[keep], vj0[keep]
-    vi1 = evecs[k1, :, i2]
-    vj1 = evecs[k1, :, j2]
-    b_res = bgrid[hit_k[keep]] + t * step
-
-    sa, sb = transverse_ops
-
-    def _moment(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return (
-            np.abs(np.einsum("nd,de,ne->n", u.conj(), sa, w)) ** 2
-            + np.abs(np.einsum("nd,de,ne->n", u.conj(), sb, w)) ** 2
-        )
-
-    moment = (1 - t) * _moment(vi0, vj0) + t * _moment(vi1, vj1)
     # Strictly forbidden level pairs bracket the microwave frequency too;
     # they carry no intensity in any channel, so drop them here.
-    allowed = moment > 0.0
-    if not allowed.all():
-        k0, k1, li, lj, i2, j2 = (arr[allowed] for arr in (k0, k1, li, lj, i2, j2))
-        t, slope, moment, b_res = t[allowed], slope[allowed], moment[allowed], b_res[allowed]
-        vi0, vj0, vi1, vj1 = vi0[allowed], vj0[allowed], vi1[allowed], vj1[allowed]
-        if not len(b_res):
-            return [], diag
-    p_low = (1 - t)[:, None] * pops[k0, :, li] + t[:, None] * pops[k1, :, i2]
-    p_up = (1 - t)[:, None] * pops[k0, :, lj] + t[:, None] * pops[k1, :, j2]
+    keep = valid & ~flat & ((1 - t) * ends[0][0] + t * ends[0][1] > 0.0)
+    if not keep.any():
+        return [], diag
+    diag.n_polished = int((polish & keep).sum())
+
+    t, slope, b_res, li, lj = (a[keep] for a in (t, slope, b_res, li, lj))
+    vi0, vj0, vi1, vj1 = (a[keep] for a in v)
+    tc = t[:, None]
+    moment = np.maximum(_hermite(t, *(a[keep] for a in ends[0])), 0.0)
+    p_low = _hermite(tc, *(a[keep] for a in ends[1]))
+    p_up = _hermite(tc, *(a[keep] for a in ends[2]))
     amps = moment[:, None] * (p_low - p_up) / (np.abs(slope)[:, None] / 1e3)
 
     def _expectations(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -517,8 +730,7 @@ def orientation_average(
         h0, h1, spin_xyz, channels = parts(orientation)
         transverse = _transverse_ops(orientation, spin_xyz)
         sticks, diag = find_resonances(h0, h1, sweep, channels, transverse)
-        diags.n_sticks += diag.n_sticks
-        diags.n_discarded_slope += diag.n_discarded_slope
+        diags.add(diag)
         block = convolve_lineshape(sticks, sweep) if sticks else np.zeros_like(total)
         if fold is None:
             total += weight * block
@@ -607,10 +819,7 @@ def simulate_dimer(
         "kind": "dimer",
         "scheme": scheme_metadata(scheme),
         "sweep": sweep_metadata(sweep),
-        "diagnostics": {
-            "sticks": diags.n_sticks,
-            "discarded_flat_transitions": diags.n_discarded_slope,
-        },
+        "diagnostics": diags.metadata(),
     }
     return Spectrum(sweep.field_axis(), total[0], meta)
 
@@ -697,7 +906,7 @@ def simulate_triplet(
         "kind": "triplet",
         "sweep": sweep_metadata(sweep),
         "grid_size": grid_size,
-        "diagnostics": {"sticks": diags.n_sticks},
+        "diagnostics": diags.metadata(),
     }
     return Spectrum(sweep.field_axis(), total[0], meta)
 

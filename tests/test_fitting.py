@@ -204,6 +204,22 @@ def test_three_geometry_noisy_round_trip(system):
     assert all(0.9 < s < 1.1 for s in result.scales)
 
 
+def test_every_start_reaches_the_minimum(system, crystal_bases):
+    # With scipy's default start simplex (steps of 0.00025 along the all-zero
+    # logits of uniform populations) the config start stalled in a local
+    # minimum here, at cost 1.0 against 0.15.
+    datasets = _datasets(crystal_bases, ORIENTATIONS, noise=0.01, seed=0)
+    start = pol.QuartetPolarizationParams(a=(0.2, -0.05, -0.1), r=(0.0, -0.05, 0.0))
+    problem = _problem(
+        system, datasets, ("a1", "a2", "a3", "r2", "rho_n"),
+        start_params=start, start_nuclear=pol.NuclearPopulations.uniform(), n_starts=1,
+    )
+    result = fit.fit_simultaneous(problem)
+    assert len(result.start_costs) == 2  # config start and coordinate-scan start
+    assert max(result.start_costs) <= 1.001 * min(result.start_costs)
+    assert np.abs(result.nuclear.as_array() - TABLE_NUCLEAR.as_array()).max() < 0.01
+
+
 def test_fit_deterministic(system, crystal_bases):
     datasets = _datasets(crystal_bases[:1], ORIENTATIONS[:1], noise=0.01, seed=11)
     start = pol.QuartetPolarizationParams(a=(0.11, 0.3, -0.027), r=TABLE_PARAMS.r)

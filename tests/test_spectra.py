@@ -150,6 +150,107 @@ def test_photo_dimer_sticks_have_both_signs():
     assert (amps > 0).any() and (amps < 0).any()
 
 
+# ------------------------------------------------ resonance search accuracy
+
+WEAK_THERMAL = pol.ThermalPolarization(80.0)
+
+
+def _weak_dimer():
+    """The reference dimer with exchange weakened to J = 0.03 cm^-1 (dense anticrossings)."""
+    return sc.SpinSystemSpec.from_parameters(
+        exchange_cm=0.03, dipolar_mhz=90.0, zfs_d_mhz=1135.0, zfs_e_mhz=235.0,
+        g_fp=2.0023, g_vo=(1.985, 1.985, 1.964), a_vo_mhz=(162.0, 162.0, 475.0),
+    )
+
+
+def _assert_same_sticks(sticks, reference, field_tol_mt):
+    assert len(sticks) == len(reference)
+    assert [(s.lower, s.upper) for s in sticks] == [(s.lower, s.upper) for s in reference]
+    assert max(abs(s.field_mt - r.field_mt) for s, r in zip(sticks, reference)) <= field_tol_mt
+
+
+def test_search_window_independent_of_grid_step():
+    # The first orientation has a stick at 218.3 mT, just below the padded
+    # window [240 - 12 * 1.8, 440 + 12 * 1.8] mT; whether a search returned
+    # it used to depend on where its grid happened to start.
+    spec = _weak_dimer()
+    for theta, phi in ((0.3927, math.pi), (0.4437, 3.6541)):
+        orientation = sc.LabOrientation(theta, phi)
+        coarse, fine = (
+            sp.stick_spectrum(spec, orientation, WEAK_THERMAL, sp.FieldSweepConfig(search_points=n))
+            for n in (151, 601)
+        )
+        _assert_same_sticks(coarse, fine, 1e-4)
+        assert min(s.field_mt for s in coarse) >= 240.0 - 12 * 1.8
+
+
+def test_double_crossing_inside_one_grid_step():
+    # Two-level anticrossing: nu(B) = sqrt((c - gamma B)^2 + delta^2) dips
+    # just below the microwave frequency, crossing it at b_min -+ 0.4 mT.
+    # Both crossings lie in the one initial-grid segment 340.0-342.0 mT, whose
+    # ends are both above resonance.
+    nu, gamma, b_min, half = 9500.0, 28.0, 341.0, 0.4
+    delta = math.sqrt(nu**2 - (gamma * half) ** 2)
+    h0 = 0.5 * np.array([[gamma * b_min, delta], [delta, -gamma * b_min]], dtype=complex)
+    h1 = 0.5 * np.diag([-gamma, gamma]).astype(complex)
+    sx, sy, _ = sc.spin_operators(0.5)
+    sweep = sp.FieldSweepConfig(
+        field_start_mt=300.0, field_stop_mt=380.0, search_points=41, slope_floor_ghz_per_mt=1e-6
+    )
+    sticks, diag = sp.find_resonances(h0, h1, sweep, sp.ThermalChannel(1.0), (sx, sy))
+    assert_allclose([s.field_mt for s in sticks], [b_min - half, b_min + half], atol=1e-6)
+    assert all(s.amplitude > 0 for s in sticks)
+    assert diag.n_subdivided > 0 and diag.n_sticks == 2
+
+
+@pytest.mark.parametrize(
+    "weak, theta, phi", [(False, 1.53, 0.10), (False, 0.62, 5.74), (True, 0.54, 0.21), (True, 0.84, 4.07)]
+)
+def test_search_matches_dense_reference(weak, theta, phi):
+    spec, model = (_weak_dimer(), WEAK_THERMAL) if weak else (sc.vanadyl_porphyrin_dimer(), TABLE_MODEL)
+    orientation = sc.LabOrientation(theta, phi)
+    default, dense = sp.FieldSweepConfig(), sp.FieldSweepConfig(search_points=4801)
+    sticks = sp.stick_spectrum(spec, orientation, model, default)
+    reference = sp.stick_spectrum(spec, orientation, model, dense)
+    _assert_same_sticks(sticks, reference, 1e-4)
+    y = sp.convolve_lineshape(sticks, default)[0]
+    y_ref = sp.convolve_lineshape(reference, dense)[0]
+    assert np.abs(y - y_ref).max() <= 2e-6 * np.abs(y_ref).max()
+
+
+def test_stick_labels_resonate_at_their_field():
+    # Each stick's (lower, upper) are sorted level indices at its own field:
+    # diagonalizing the independent oracle Hamiltonian there puts that pair
+    # on resonance, to within 1e-4 mT.
+    spec = _weak_dimer()
+    orientation = sc.LabOrientation(0.3927, math.pi)
+    sticks = sp.stick_spectrum(spec, orientation, WEAK_THERMAL, sp.FieldSweepConfig())
+
+    def oracle(field_mt):
+        return oracles.dimer_hamiltonian(
+            field_mt, orientation.unit_vector(), spec.exchange_cm, spec.dipolar_mhz,
+            spec.zfs_d_mhz, spec.zfs_e_mhz, spec.g_fp, spec.g_vo.principal,
+            spec.a_vo.principal, spec.frames.alpha_rad, spec.frames.beta_rad,
+        )
+
+    h0 = oracle(0.0)
+    h1 = oracle(1.0) - h0
+    fields = np.array([s.field_mt for s in sticks])
+    evals, evecs = np.linalg.eigh(h0[None] + fields[:, None, None] * h1[None])
+    rows = np.arange(len(sticks))
+    lower = np.array([s.lower for s in sticks])
+    upper = np.array([s.upper for s in sticks])
+    mismatch = evals[rows, upper] - evals[rows, lower] - 9500.0
+
+    def level_slope(level):
+        v = evecs[rows, :, level]
+        return np.einsum("nd,de,ne->n", v.conj(), h1, v).real
+
+    field_error = np.abs(mismatch / (level_slope(upper) - level_slope(lower)))
+    assert len(sticks) > 500
+    assert field_error.max() <= 1e-4
+
+
 # -------------------------------------------------------------- lineshapes
 
 
@@ -256,6 +357,10 @@ def test_powder_spectrum_net_emissive():
     assert spectrum.net_integral() < 0
     assert spectrum.metadata["scheme"]["kind"] == "powder"
     assert spectrum.metadata["diagnostics"]["sticks"] > 0
+    assert set(spectrum.metadata["diagnostics"]) == {
+        "sticks", "discarded_flat_transitions", "polished_sticks", "tie_fallbacks",
+        "untracked_fallbacks", "subdivided_segments",
+    }
 
 
 def test_aligned_extent_wider_perpendicular_than_parallel():
