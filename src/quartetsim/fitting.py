@@ -6,8 +6,11 @@ parameters (a, r), shared nuclear populations, and an independent intensity
 scale per dataset.  Spectra are linear in the population coefficients, so
 each dataset is reduced once to a basis-spectrum tensor and the objective
 evaluates as a tensor contraction; the per-dataset scales then have a
-closed-form optimum at every step.  The outer minimization is a
-derivative-free simplex search with a deterministic multi-start schedule.
+closed-form optimum for any coefficients and populations.  Each start of a
+deterministic multi-start schedule runs a bounded trust-region least-squares
+solve (trust-region reflective; Branch, Coleman & Li, SIAM J. Sci. Comput. 21,
+1 (1999)) over the coefficients, population logits and scales, with the exact
+Jacobian of the model, which is linear in each of them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
+from scipy.optimize import minimize  # noqa: F401 -- perfbench/tracing.py wraps fitting.minimize
 
 from . import polarization as pol
 from .spectra import (
@@ -30,12 +34,9 @@ from .spincore import SpinSystemSpec
 
 FREE_NAMES = PARAM_NAMES + ("rho_n",)
 
-# Logits for the nuclear simplex are kept in a box so the simplex search
-# cannot wander off to regions where softmax saturates completely.
+# Logits for the nuclear simplex are kept in a box so the solver cannot
+# wander off to regions where softmax saturates completely.
 _LOGIT_BOUND = 12.0
-
-# Edge of every Nelder-Mead start simplex, as a fraction of each parameter's bound span.
-_SIMPLEX_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,8 @@ class FitResult:
     converged: bool
     seed: int
     message: str = ""
+    # standard errors of the nuclear populations; None when they are fixed
+    stderr_nuclear: tuple[float, ...] | None = None
 
 
 def dataset_bases(problem: FitProblem) -> list[QuartetBasisSpectra]:
@@ -185,6 +188,34 @@ class FitModel:
             out.append((s, sim, self.weights[k] * (s * sim - exp) / self.norms[k]))
         return out
 
+    def jacobian(
+        self,
+        c: np.ndarray,
+        p: np.ndarray,
+        scales: np.ndarray,
+        coeff_idx: list[int],
+        fits_nuclear: bool,
+    ) -> np.ndarray:
+        """Exact Jacobian of the stacked residual of ``terms(c, p, scales)``.
+
+        Columns: the coefficients ``c[coeff_idx]``, then (when
+        ``fits_nuclear``) the 8 logits whose softmax is ``p``, then every
+        dataset's scale.
+        """
+        blocks = []
+        for k, (m, s) in enumerate(zip(self.tensors, scales)):
+            f = self.weights[k] / self.norms[k]
+            by_coeff = np.einsum("l,plf->pf", p, m)
+            cols = [s * f * by_coeff[coeff_idx].T]
+            if fits_nuclear:
+                by_level = np.einsum("p,plf->lf", c, m)
+                cols.append(s * f * by_level.T @ (np.diag(p) - np.outer(p, p)))
+            scale_cols = np.zeros((m.shape[-1], len(self.tensors)))
+            scale_cols[:, k] = f * (c @ by_coeff)
+            cols.append(scale_cols)
+            blocks.append(np.hstack(cols))
+        return np.vstack(blocks)
+
 
 def residual(
     problem: FitProblem,
@@ -220,15 +251,35 @@ def _start_logits(nuclear: pol.NuclearPopulations) -> np.ndarray:
     return z - z.mean()
 
 
+def _population_stderr(jac: np.ndarray, cost: float, p: np.ndarray, n_coeff: int) -> tuple[float, ...]:
+    """Standard errors of the populations from the covariance sigma^2 (J^T J)^+.
+
+    sigma^2 = cost / (residuals - rank J).  The pseudo-inverse drops the null
+    directions (the softmax shift and the scale/coefficient gauge), neither of
+    which moves the populations; the logit covariance maps to the populations
+    through the softmax Jacobian diag(p) - p p^T.
+    """
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = sv > sv[0] * max(jac.shape) * np.finfo(float).eps
+    dof = jac.shape[0] - int(keep.sum())
+    sigma2 = cost / dof if dof > 0 else np.nan
+    # (J^T J)^+ = half @ half.T over the kept singular values
+    half = vt[keep].T / sv[keep]
+    rho = (np.diag(p) - np.outer(p, p)) @ half[n_coeff:n_coeff + 8]
+    return tuple(float(e) for e in np.sqrt(sigma2 * (rho**2).sum(axis=1)))
+
+
 def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitResult:
     """Minimize the joint residual over the free parameters.
 
     Free coefficients vary directly; nuclear populations, when free, vary as
-    softmax logits so every iterate stays on the probability simplex.  The
-    per-dataset scales are solved in closed form inside the objective.  When
-    every nonzero coefficient is free the scale/coefficient product is gauge
-    degenerate; the result is normalized so the geometric mean of |scale| is
-    one.  ``model``, when given, must have been built from ``problem``.
+    softmax logits so every iterate stays on the probability simplex.  Each
+    dataset's scale is an unbounded solver parameter that starts at its
+    closed-form optimum; the reported scales are the closed-form optima at the
+    solution.  When every nonzero coefficient is free the scale/coefficient
+    product is gauge degenerate; the result is normalized so the geometric
+    mean of |scale| is one.  ``model``, when given, must have been built from
+    ``problem``.
     """
     model = model or FitModel.build(problem)
     free_coeffs = problem.free_coefficients
@@ -245,11 +296,12 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
         bounds.extend([(-_LOGIT_BOUND, _LOGIT_BOUND)] * 8)
     x0 = np.asarray(x0, dtype=float)
     n_coeff = len(coeff_idx)
+    n_shape = len(x0)  # coefficients and logits; the solver appends one scale per dataset
 
     def unpack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c = c_full.copy()
         c[coeff_idx] = x[:n_coeff]
-        p = _softmax(x[n_coeff:]) if fits_nuclear else p_start
+        p = _softmax(x[n_coeff:n_shape]) if fits_nuclear else p_start
         return c, p
 
     n_evals = 0
@@ -261,6 +313,14 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
         for _, _, r in model.terms(*unpack(x)):
             cost += float(r @ r)
         return cost
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        nonlocal n_evals
+        n_evals += 1
+        return np.concatenate([r for _, _, r in model.terms(*unpack(x), x[n_shape:])])
+
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        return model.jacobian(*unpack(x), x[n_shape:], coeff_idx, fits_nuclear)
 
     rng = np.random.default_rng(problem.settings.seed)
     starts = [x0]
@@ -282,38 +342,36 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
             scan[pos] = grid[int(np.argmin([objective(t) for t in trials]))]
         starts.insert(1, scan)
 
-    # scipy's default start simplex steps 5% of each coordinate and 0.00025
-    # where it is zero, as are all logits of uniform populations; such a
-    # simplex stalls in shallow local minima.  Step each parameter by
-    # _SIMPLEX_STEP of its bound span instead, away from its upper bound.
-    step = _SIMPLEX_STEP * span
-    upper = np.array([b[1] for b in bounds])
+    n_scales = len(model.tensors)
+    lower = [b[0] for b in bounds] + [-np.inf] * n_scales
+    upper = [b[1] for b in bounds] + [np.inf] * n_scales
+    tol = max(problem.settings.tolerance, np.finfo(float).eps)
 
     best = None
     start_costs = []
     start_converged = []
     for x_start in starts:
-        offsets = np.diag(np.where(x_start + step <= upper, step, -step))
-        res = minimize(
-            objective,
-            x_start,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={
-                "initial_simplex": np.vstack([x_start, x_start + offsets]),
-                "maxiter": problem.settings.max_iterations,
-                "xatol": problem.settings.tolerance,
-                "fatol": problem.settings.tolerance,
-                "adaptive": True,
-            },
+        scales0 = [s for s, _, _ in model.terms(*unpack(x_start))]
+        res = least_squares(
+            residuals,
+            np.concatenate([x_start, scales0]),
+            jac=jacobian,
+            bounds=(lower, upper),
+            method="trf",
+            max_nfev=problem.settings.max_iterations,
+            xtol=tol,
+            ftol=tol,
         )
-        start_costs.append(float(res.fun))
-        start_converged.append(bool(res.success))
-        if best is None or res.fun < best.fun:
-            best = res
+        start_costs.append(2.0 * float(res.cost))
+        start_converged.append(bool(res.status > 0))
+        if best is None or start_costs[-1] < best_cost:
+            best, best_cost = res, start_costs[-1]
 
     c_best, p_best = unpack(best.x)
     scales = [s for s, _, _ in model.terms(c_best, p_best)]
+    stderr = None
+    if fits_nuclear:
+        stderr = _population_stderr(jacobian(best.x), best_cost, p_best, n_coeff)
 
     # Gauge fixing: coefficients and scales only enter as products, so when
     # no fixed coefficient pins the overall factor the solution is defined up
@@ -328,22 +386,22 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
         if all(s < 0.0 for s in scales):
             gauge = -gauge
         if gauge != 0.0 and np.isfinite(gauge):
-            c_best = c_best * gauge
+            c_best = c_best * gauge + 0.0  # + 0.0: fixed zeros stay +0.0 under a negative gauge
             scales = [s / gauge for s in scales]
 
-    cost = float(best.fun)
     return FitResult(
         params=_params_from_vector(c_best),
         nuclear=pol.NuclearPopulations(tuple(p_best)),
         scales=tuple(scales),
-        cost=cost,
-        residual_norm=float(np.sqrt(cost)),
+        cost=best_cost,
+        residual_norm=float(np.sqrt(best_cost)),
         start_costs=tuple(start_costs),
         start_converged=tuple(start_converged),
         n_evaluations=n_evals,
-        converged=bool(best.success),
+        converged=bool(best.status > 0),
         seed=problem.settings.seed,
         message=str(best.message),
+        stderr_nuclear=stderr,
     )
 
 
@@ -362,6 +420,8 @@ def fit_report(problem: FitProblem, result: FitResult) -> str:
     for name, value in zip(PARAM_NAMES, _coefficient_vector(result.params)):
         lines.append(f"{name}: {value:+.6f}")
     lines.append("rho_n: " + ", ".join(f"{p:.4f}" for p in result.nuclear.as_array()))
+    if result.stderr_nuclear is not None:
+        lines.append("stderr_rho_n: " + ", ".join(f"{e:.4f}" for e in result.stderr_nuclear))
     for ds, s in zip(problem.datasets, result.scales):
         lines.append(f"scale[{ds.name}]: {s:.6e}")
     lines.append("start_costs: " + ", ".join(f"{c:.6e}" for c in result.start_costs))

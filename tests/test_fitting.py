@@ -245,13 +245,13 @@ def test_converged_follows_lowest_cost_start(system, crystal_bases):
 
 def test_converged_ignores_other_starts(system, crystal_bases, monkeypatch):
     # The lowest-cost start stopped early while a worse start converged.
-    outcomes = iter([(2.0, True), (1.0, False)])
+    outcomes = iter([(1.0, 1), (0.5, 0)])
 
-    def scripted_minimize(fun, x0, **kwargs):
-        cost, success = next(outcomes)
-        return SimpleNamespace(x=x0, fun=cost, success=success, message="scripted")
+    def scripted_least_squares(fun, x0, **kwargs):
+        cost, status = next(outcomes)
+        return SimpleNamespace(x=x0, cost=cost, status=status, message="scripted")
 
-    monkeypatch.setattr(fit, "minimize", scripted_minimize)
+    monkeypatch.setattr(fit, "least_squares", scripted_least_squares)
     datasets = _datasets(crystal_bases[:1], ORIENTATIONS[:1])
     problem = _problem(system, datasets, ("rho_n",), n_starts=2)
     result = fit.fit_simultaneous(problem)
@@ -273,6 +273,78 @@ def test_prepared_model_matches_problem_calls(system, crystal_bases):
         assert np.array_equal(a, b)
     # the reported cost is the squared norm of the residual at the optimum
     assert_allclose(float(r @ r), result.cost, rtol=1e-9)
+
+
+def _crystal_model(bases, datasets):
+    # The data share the basis field axis, so the prepared tensors are the bases'.
+    data = tuple(ds.spectrum.intensity for ds in datasets)
+    return fit.FitModel(
+        tensors=tuple(b.tensor for b in bases),
+        data=data,
+        norms=tuple(float(np.abs(e).max()) for e in data),
+        weights=tuple(ds.weight for ds in datasets),
+    )
+
+
+def test_mirrored_solution_reports_positive_zeros(system, crystal_bases, monkeypatch):
+    # (c, s) and (-c, -s) fit equally well; the gauge fixing flips the sign
+    # back, and the fixed zero coefficients r1 and r3 must not print as -0.
+    def mirrored_least_squares(fun, x0, **kwargs):
+        x = x0.copy()
+        x[:4] = -np.array([*TABLE_PARAMS.a, TABLE_PARAMS.r[1]])
+        return SimpleNamespace(x=x, cost=0.0, status=1, message="scripted")
+
+    monkeypatch.setattr(fit, "least_squares", mirrored_least_squares)
+    datasets = _datasets(crystal_bases, ORIENTATIONS)
+    problem = _problem(system, datasets, ("a1", "a2", "a3", "r2"), n_starts=1)
+    result = fit.fit_simultaneous(problem, _crystal_model(crystal_bases, datasets))
+    assert all(s > 0 for s in result.scales)
+    report = fit.fit_report(problem, result)
+    assert "r1: +0.000000" in report and "r3: +0.000000" in report
+
+
+def test_jacobian_matches_finite_differences(crystal_bases):
+    datasets = tuple(
+        fit.FitDataset(ds.name, ds.spectrum, ds.scheme, weight=w)
+        for ds, w in zip(_datasets(crystal_bases, ORIENTATIONS, noise=0.01, seed=2), (1.0, 2.0, 0.5))
+    )
+    model = _crystal_model(crystal_bases, datasets)
+    rng = np.random.default_rng(8)
+    coeff_idx = [0, 2, 4]
+    c = np.array([*TABLE_PARAMS.a, *TABLE_PARAMS.r]) + 0.05 * rng.standard_normal(6)
+    x = np.concatenate([c[coeff_idx], rng.standard_normal(8), 1.0 + 0.2 * rng.standard_normal(3)])
+
+    def unpack(x):
+        cc = c.copy()
+        cc[coeff_idx] = x[:3]
+        return cc, fit._softmax(x[3:11]), x[11:]
+
+    def residual(x):
+        return np.concatenate([r for _, _, r in model.terms(*unpack(x))])
+
+    h = 1e-5
+    numeric = np.array([(residual(x + h * e) - residual(x - h * e)) / (2 * h)
+                        for e in np.eye(len(x))]).T
+    analytic = model.jacobian(*unpack(x), coeff_idx, True)
+    assert analytic.shape == numeric.shape == (3 * FAST.n_points, 3 + 8 + 3)
+    assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-6 * np.abs(analytic).max())
+
+
+def test_population_stderr_matches_monte_carlo_spread(system, crystal_bases):
+    # Fit 50 noise draws of one problem; the reported standard errors of
+    # rho_n must match the spread of the fitted rho_n.
+    free = ("a1", "a2", "a3", "r2", "rho_n")
+    fitted, errors = [], []
+    for draw in range(50):
+        datasets = _datasets(crystal_bases, ORIENTATIONS, noise=0.01, seed=draw)
+        problem = _problem(system, datasets, free, n_starts=1)
+        result = fit.fit_simultaneous(problem, _crystal_model(crystal_bases, datasets))
+        fitted.append(result.nuclear.as_array())
+        errors.append(result.stderr_nuclear)
+    spread = np.std(fitted, axis=0, ddof=1)
+    reported = np.mean(errors, axis=0)
+    assert (np.abs(reported - spread) <= 0.25 * spread).all()
+    assert "stderr_rho_n:" in fit.fit_report(problem, result)
 
 
 def test_fit_report_fields(system, crystal_bases):
