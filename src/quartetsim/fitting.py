@@ -276,7 +276,9 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
     softmax logits so every iterate stays on the probability simplex.  Each
     dataset's scale is an unbounded solver parameter that starts at its
     closed-form optimum; the reported scales are the closed-form optima at the
-    solution.  When every nonzero coefficient is free the scale/coefficient
+    solution, and the reported cost is the sum of squared residuals at them.
+    ``start_costs`` are the solver's own final costs, which the reported cost
+    never exceeds.  When every nonzero coefficient is free the scale/coefficient
     product is gauge degenerate; the result is normalized so the geometric
     mean of |scale| is one.  ``model``, when given, must have been built from
     ``problem``.
@@ -294,7 +296,11 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
     if fits_nuclear:
         x0.extend(_start_logits(problem.start_nuclear))
         bounds.extend([(-_LOGIT_BOUND, _LOGIT_BOUND)] * 8)
-    x0 = np.asarray(x0, dtype=float)
+    lower = [b[0] for b in bounds]
+    upper = [b[1] for b in bounds]
+    # A start outside the box (a coefficient beyond the bounds, or a population
+    # below ~1e-6 whose logit falls under -_LOGIT_BOUND) begins at its clip.
+    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
     n_coeff = len(coeff_idx)
     n_shape = len(x0)  # coefficients and logits; the solver appends one scale per dataset
 
@@ -327,7 +333,7 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
     span = np.array([b[1] - b[0] for b in bounds])
     for _ in range(problem.settings.n_starts - 1):
         trial = x0 + problem.settings.start_spread * span * rng.standard_normal(len(x0))
-        starts.append(np.clip(trial, [b[0] for b in bounds], [b[1] for b in bounds]))
+        starts.append(np.clip(trial, lower, upper))
 
     # The objective is sharply peaked around the solution and nearly flat far
     # from it (the closed-form scale saturates the residual), so a start on
@@ -343,35 +349,36 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
         starts.insert(1, scan)
 
     n_scales = len(model.tensors)
-    lower = [b[0] for b in bounds] + [-np.inf] * n_scales
-    upper = [b[1] for b in bounds] + [np.inf] * n_scales
     tol = max(problem.settings.tolerance, np.finfo(float).eps)
 
-    best = None
-    start_costs = []
-    start_converged = []
+    solves = []
     for x_start in starts:
         scales0 = [s for s, _, _ in model.terms(*unpack(x_start))]
         res = least_squares(
             residuals,
             np.concatenate([x_start, scales0]),
             jac=jacobian,
-            bounds=(lower, upper),
+            bounds=(lower + [-np.inf] * n_scales, upper + [np.inf] * n_scales),
             method="trf",
             max_nfev=problem.settings.max_iterations,
             xtol=tol,
             ftol=tol,
         )
-        start_costs.append(2.0 * float(res.cost))
-        start_converged.append(bool(res.status > 0))
-        if best is None or start_costs[-1] < best_cost:
-            best, best_cost = res, start_costs[-1]
+        solves.append(res)
+    start_costs = [2.0 * float(res.cost) for res in solves]
+    best = solves[int(np.argmin(start_costs))]
 
+    # The reported cost, scales and standard errors are taken at the closed-form
+    # scales, so residual(problem, params, nuclear, scales) reproduces the cost
+    # also when the best start stopped on max_iterations.
     c_best, p_best = unpack(best.x)
-    scales = [s for s, _, _ in model.terms(c_best, p_best)]
+    terms = model.terms(c_best, p_best)
+    scales = [s for s, _, _ in terms]
+    best_cost = float(sum(r @ r for _, _, r in terms))
     stderr = None
     if fits_nuclear:
-        stderr = _population_stderr(jacobian(best.x), best_cost, p_best, n_coeff)
+        jac = model.jacobian(c_best, p_best, np.array(scales), coeff_idx, fits_nuclear)
+        stderr = _population_stderr(jac, best_cost, p_best, n_coeff)
 
     # Gauge fixing: coefficients and scales only enter as products, so when
     # no fixed coefficient pins the overall factor the solution is defined up
@@ -396,7 +403,7 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
         cost=best_cost,
         residual_norm=float(np.sqrt(best_cost)),
         start_costs=tuple(start_costs),
-        start_converged=tuple(start_converged),
+        start_converged=tuple(bool(res.status > 0) for res in solves),
         n_evaluations=n_evals,
         converged=bool(best.status > 0),
         seed=problem.settings.seed,
