@@ -11,7 +11,7 @@ sequential-kinetics analysis of transient-absorption data.
 
 __version__ = "0.1.0"
 
-from .constants import BOHR_MHZ_PER_MT, MHZ_PER_INVCM, field_to_mhz, mhz_to_field
+from .constants import BOHR_MHZ_PER_MT, MHZ_PER_INVCM
 from .spincore import (
     FrameGeometry,
     HermitianOperator,
@@ -23,7 +23,6 @@ from .spincore import (
     point_dipole_coupling,
     rotate_tensor,
     spin_operators,
-    total_spin_projectors,
     validate_strong_exchange,
     vanadyl_porphyrin_dimer,
 )
@@ -33,12 +32,7 @@ from .polarization import (
     QuartetPolarizationParams,
     ThermalPolarization,
     TripletZeroFieldPolarization,
-    eigenbasis_populations,
-    initial_density_matrix,
     nuclear_polarization_gain,
-    project_hyperfine,
-    rho_0,
-    rho_s,
     thermal_populations,
 )
 from .spectra import (
@@ -49,7 +43,6 @@ from .spectra import (
     Spectrum,
     find_resonances,
     intensity_extent,
-    powder_average,
     quartet_basis_spectra,
     simulate_cw_doublet,
     simulate_dimer,
@@ -99,26 +92,18 @@ __all__ = [
     "build_hamiltonian",
     "coupled_transform",
     "eas_solve",
-    "eigenbasis_populations",
     "emit_config",
-    "field_to_mhz",
     "find_resonances",
     "fit_simultaneous",
     "global_fit",
-    "initial_density_matrix",
     "intensity_extent",
     "load_spectrum_csv",
     "load_ta_csv",
-    "mhz_to_field",
     "parse_config",
     "parse_config_text",
     "nuclear_polarization_gain",
     "point_dipole_coupling",
-    "powder_average",
-    "project_hyperfine",
     "quartet_basis_spectra",
-    "rho_0",
-    "rho_s",
     "rotate_tensor",
     "save_spectrum_csv",
     "save_ta_csv",
@@ -128,7 +113,6 @@ __all__ = [
     "spin_operators",
     "stick_spectrum",
     "thermal_populations",
-    "total_spin_projectors",
     "validate_strong_exchange",
     "vanadyl_porphyrin_dimer",
 ]

@@ -1,8 +1,8 @@
-"""Physical constants and unit conversions.
+"""Physical constants and the unit policy of the package.
 
 Unit policy used throughout the package: energies and couplings are handled
 in MHz, magnetic fields in mT, temperatures in K and distances in nm.
-Conversions to SI happen only inside the helpers below.
+Conversions to SI happen only where the constants below are used.
 
 Values are CODATA 2018.
 """
@@ -11,7 +11,6 @@ PLANCK_J_PER_HZ = 6.62607015e-34
 BOLTZMANN_J_PER_K = 1.380649e-23
 BOHR_MAGNETON_J_PER_T = 9.2740100783e-24
 VACUUM_PERMEABILITY = 1.25663706212e-6
-FREE_ELECTRON_G = 2.00231930436256
 
 # 1 cm^-1 expressed in MHz (exact, from c = 299792458 m/s).
 MHZ_PER_INVCM = 29979.2458
@@ -20,12 +19,3 @@ MHZ_PER_INVCM = 29979.2458
 # to get an electron Zeeman energy in MHz.
 BOHR_MHZ_PER_MT = BOHR_MAGNETON_J_PER_T / PLANCK_J_PER_HZ * 1e-9
 
-
-def field_to_mhz(field_mt: float, g: float) -> float:
-    """Electron Zeeman energy g*muB*B/h in MHz for a field in mT."""
-    return g * BOHR_MHZ_PER_MT * field_mt
-
-
-def mhz_to_field(freq_mhz: float, g: float) -> float:
-    """Resonance field in mT of a g-only spin at a transition frequency in MHz."""
-    return freq_mhz / (g * BOHR_MHZ_PER_MT)

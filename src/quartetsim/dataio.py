@@ -105,11 +105,6 @@ def save_metadata(path: str, metadata: dict) -> None:
         fh.write("\n")
 
 
-def load_metadata(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # ------------------------------------------------------------------- TA
 
 
@@ -156,15 +151,6 @@ def load_ta_csv(path: str) -> tuple[TADataset, str]:
             raise DataError(f"row {row_no + 2}: time axis not strictly increasing")
     data = TADataset(np.asarray(times), np.asarray(wavelengths), np.asarray(signal))
     return data, unit
-
-
-def ta_time_unit(times_ps: np.ndarray) -> str:
-    """Pick a readable unit for a time axis given in picoseconds."""
-    span = float(np.max(np.abs(times_ps))) if len(times_ps) else 1.0
-    for unit in ("fs", "ps", "ns", "us", "ms"):
-        if span < TIME_UNITS_PS[unit] * 1e3:
-            return unit
-    return "s"
 
 
 def save_eas_csv(path: str, wavelengths: np.ndarray, eas: np.ndarray) -> None:

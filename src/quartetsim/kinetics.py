@@ -12,7 +12,7 @@ IRF width), in log space to span the ps-to-microsecond range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize

@@ -17,16 +17,7 @@ import numpy as np
 
 from .constants import BOLTZMANN_J_PER_K, PLANCK_J_PER_HZ
 from . import spincore
-from .spincore import (
-    COUPLED_BASIS,
-    DIM,
-    FrameGeometry,
-    HermitianOperator,
-    LabOrientation,
-    SpinSystemSpec,
-    coupled_transform,
-    spin_operators,
-)
+from .spincore import FrameGeometry, LabOrientation, coupled_transform, spin_operators
 
 QUARTET_M = np.array([1.5, 0.5, -0.5, -1.5])
 NUCLEAR_SUM_TOL = 2e-3
@@ -137,37 +128,10 @@ def rho_s_entries(theta: float, phi: float, params: QuartetPolarizationParams) -
     return quad_coeff * (QUARTET_M**2 - 1.25) + lin_coeff * QUARTET_M + cub_coeff * QUARTET_M**3
 
 
-def rho_s(theta: float, phi: float, params: QuartetPolarizationParams) -> np.ndarray:
-    """4x4 diagonal quartet density matrix in the field-quantized basis."""
-    return np.diag(rho_s_entries(theta, phi, params)).astype(complex)
-
-
 def field_in_quartet_frame(frames: FrameGeometry, orientation: LabOrientation) -> tuple[float, float]:
     """Polar angles of the field direction in the quartet polarization frame."""
     local = frames.quartet_axes().T @ orientation.unit_vector()
     return spincore.vector_angles(local)
-
-
-def rho_0(
-    rho_s_matrix: np.ndarray,
-    nuclear: NuclearPopulations | np.ndarray,
-    doublet_populations: tuple[float, float] | None = None,
-) -> HermitianOperator:
-    """Initial 48x48 density matrix in the coupled basis.
-
-    Quartet block: rho_S (x) diag(nuclear populations); trip-doublet block
-    zero unless ``doublet_populations`` is given.  Trace equals
-    trace(rho_S) (the quartet expansion itself is traceless).
-    """
-    rho_s_matrix = np.asarray(rho_s_matrix)
-    if rho_s_matrix.shape != (4, 4):
-        raise ValueError("rho_S must be 4x4")
-    p_nuc = nuclear.as_array() if isinstance(nuclear, NuclearPopulations) else np.asarray(nuclear, dtype=float)
-    full = np.zeros((DIM, DIM), dtype=complex)
-    full[:32, :32] = np.kron(rho_s_matrix, np.diag(p_nuc))
-    if doublet_populations is not None:
-        full[32:, 32:] = np.kron(np.diag(doublet_populations), np.diag(p_nuc)).astype(complex)
-    return HermitianOperator(full, COUPLED_BASIS)
 
 
 def single_spin_rotation(s: float, theta: float, phi: float) -> np.ndarray:
@@ -198,60 +162,6 @@ def coupled_states_along(orientation: LabOrientation) -> np.ndarray:
     return orientation_rotation(orientation) @ w_full
 
 
-def initial_density_matrix(
-    spec: SpinSystemSpec,
-    orientation: LabOrientation,
-    model: PhotoQuartetPolarization,
-) -> HermitianOperator:
-    """Molecular-frame rho_0 for a photo-generated quartet polarization."""
-    theta_q, phi_q = field_in_quartet_frame(spec.frames, orientation)
-    coupled = rho_0(rho_s(theta_q, phi_q, model.params), model.nuclear, model.doublet_populations)
-    states = coupled_states_along(orientation)
-    return HermitianOperator(states @ coupled.matrix @ states.conj().T, spincore.PRODUCT_BASIS)
-
-
-@dataclass
-class EigenbasisPopulations:
-    """Populations of exact eigenstates, ascending energy order."""
-
-    energies_mhz: np.ndarray
-    populations: np.ndarray
-    degenerate: np.ndarray
-
-    def any_degenerate(self) -> bool:
-        return bool(self.degenerate.any())
-
-
-def _as_matrix(op: HermitianOperator | np.ndarray) -> np.ndarray:
-    return op.matrix if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex)
-
-
-def eigenbasis_populations(
-    hamiltonian: HermitianOperator | np.ndarray,
-    rho0: HermitianOperator | np.ndarray,
-    degeneracy_tol: float = 1e-6,
-) -> EigenbasisPopulations:
-    """Diagonal of rho_0 over the exact eigenvectors (secular approximation).
-
-    Both operators must be written in the same basis.  Within degenerate
-    eigenvalue clusters the individual populations depend on the arbitrary
-    basis chosen by the solver; such levels are flagged.
-    """
-    h = _as_matrix(hamiltonian)
-    rho = _as_matrix(rho0)
-    if h.shape != rho.shape:
-        raise ValueError("Hamiltonian and density matrix dimensions differ")
-    energies, vecs = np.linalg.eigh(h)
-    populations = np.einsum("ai,ab,bi->i", vecs.conj(), rho, vecs).real
-    scale = max(1.0, float(np.abs(energies).max()))
-    gaps = np.diff(energies)
-    close = gaps < degeneracy_tol * scale
-    degenerate = np.zeros(len(energies), dtype=bool)
-    degenerate[:-1] |= close
-    degenerate[1:] |= close
-    return EigenbasisPopulations(energies, populations, degenerate)
-
-
 def thermal_populations(energies_mhz: np.ndarray, temperature_k: float) -> np.ndarray:
     """Normalized Boltzmann weights for level energies in MHz, one level set per last-axis row."""
     if not math.isfinite(temperature_k) or temperature_k <= 0:
@@ -262,52 +172,17 @@ def thermal_populations(energies_mhz: np.ndarray, temperature_k: float) -> np.nd
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def triplet_zero_field_states(axes: np.ndarray | None = None) -> np.ndarray:
+def triplet_zero_field_states() -> np.ndarray:
     """Zero-field triplet eigenstates |T_x>, |T_y>, |T_z> as columns.
 
-    ``axes`` holds the fine-structure principal axes as columns (defaults to
-    the coordinate axes).  Each |T_k> is the null vector of S.e_k, written in
-    the descending-m S = 1 basis.
+    Each |T_k> is the null vector of S_k, written in the descending-m S = 1
+    basis.
     """
-    axes = np.eye(3) if axes is None else np.asarray(axes, dtype=float)
-    ops = spin_operators(1.0)
     states = []
-    for k in range(3):
-        along = sum(axes[a, k] * ops[a] for a in range(3))
-        evals, evecs = np.linalg.eigh(along)
+    for op in spin_operators(1.0):
+        evals, evecs = np.linalg.eigh(op)
         states.append(evecs[:, np.argmin(np.abs(evals))])
     return np.column_stack(states)
-
-
-def triplet_highfield_populations(
-    zero_field_populations: tuple[float, float, float] | np.ndarray,
-    eigenvectors: np.ndarray,
-    axes: np.ndarray | None = None,
-) -> np.ndarray:
-    """Populations inherited by high-field triplet states at sudden field onset.
-
-    P_i = sum_k |<v_i|T_k>|^2 p_k with |T_k> the zero-field states.
-    ``eigenvectors`` holds the high-field eigenstates as columns in the same
-    S = 1 basis.
-    """
-    p = np.asarray(zero_field_populations, dtype=float)
-    overlap = np.abs(triplet_zero_field_states(axes).conj().T @ eigenvectors) ** 2
-    return overlap.T @ p
-
-
-def project_hyperfine(hyperfine: "spincore.InteractionTensor", multiplet: str) -> "spincore.InteractionTensor":
-    """Effective nuclear hyperfine tensor inside a coupled manifold.
-
-    For a doublet-spin hyperfine coupling in a triplet-doublet pair the
-    quartet keeps +A/3 and the trip-doublet -A/3.
-    """
-    factors = {"quartet": 1.0 / 3.0, "doublet": -1.0 / 3.0}
-    if multiplet not in factors:
-        raise ValueError(f"multiplet must be one of {sorted(factors)}, got {multiplet!r}")
-    f = factors[multiplet]
-    return spincore.InteractionTensor(
-        tuple(f * v for v in hyperfine.principal), hyperfine.euler_zyz
-    )
 
 
 def nuclear_polarization_gain(populations: NuclearPopulations | np.ndarray) -> float:

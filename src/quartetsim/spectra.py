@@ -824,15 +824,6 @@ def simulate_dimer(
     return Spectrum(sweep.field_axis(), total[0], meta)
 
 
-def powder_average(
-    spec: SpinSystemSpec,
-    model: pol.PolarizationModel,
-    sweep: FieldSweepConfig,
-    grid_size: int = 256,
-) -> Spectrum:
-    return simulate_dimer(spec, model, sweep, PowderScheme(grid_size))
-
-
 @dataclass
 class QuartetBasisSpectra:
     """Per-coefficient, per-nuclear-sublevel basis spectra for fast fitting.

@@ -35,11 +35,7 @@ from .constants import (
 SPIN_TRIPLET = 1.0
 SPIN_DOUBLET = 0.5
 SPIN_NUCLEUS = 3.5
-DIMS = (3, 2, 8)
 DIM = 48
-
-PRODUCT_BASIS = "|m_T> (x) |m_D> (x) |m_I>, m descending"
-COUPLED_BASIS = "|S m_S> (x) |m_I>, quartet (m=3/2..-3/2) then doublet (m=1/2,-1/2)"
 
 _HERMITIAN_RTOL = 1e-12
 
@@ -349,10 +345,9 @@ def vanadyl_porphyrin_dimer() -> SpinSystemSpec:
 
 @dataclass(eq=False)
 class HermitianOperator:
-    """A Hermitian matrix tagged with the basis it is written in."""
+    """A square matrix checked to be Hermitian."""
 
     matrix: np.ndarray
-    basis: str = PRODUCT_BASIS
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -444,7 +439,7 @@ def build_hamiltonian(spec: SpinSystemSpec, field_mt: float, orientation: LabOri
     if not math.isfinite(field_mt) or field_mt < 0:
         raise ValueError(f"field must be finite and non-negative, got {field_mt}")
     h0, h1 = hamiltonian_parts(spec, orientation)
-    return HermitianOperator(h0 + field_mt * h1, PRODUCT_BASIS)
+    return HermitianOperator(h0 + field_mt * h1)
 
 
 @lru_cache(maxsize=8)
@@ -490,17 +485,6 @@ def coupled_transform(s1: float = SPIN_TRIPLET, s2: float = SPIN_DOUBLET) -> np.
             columns.append(vec)
         s_val -= 1.0
     return np.column_stack(columns)
-
-
-@lru_cache(maxsize=1)
-def total_spin_projectors() -> tuple[np.ndarray, np.ndarray]:
-    """Projectors onto the quartet and trip-doublet blocks of the full space."""
-    ops = product_operators()
-    s_tot = [ops["triplet"][a] + ops["doublet"][a] for a in range(3)]
-    casimir = sum(op @ op for op in s_tot)
-    quartet = (casimir - 0.75 * np.eye(DIM)) / 3.0
-    doublet = (3.75 * np.eye(DIM) - casimir) / 3.0
-    return quartet, doublet
 
 
 def point_dipole_coupling(distance_nm: float, g1: float, g2: float) -> float:

@@ -1,5 +1,6 @@
 """Config grammar, CSV formats, manifests and the command-line interface."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import quartetsim
 from quartetsim import cli, configio, dataio, fitting
 from quartetsim import kinetics as kin
 from quartetsim import polarization as pol
@@ -254,14 +256,6 @@ def test_ta_csv_errors(tmp_path):
     path.write_text("time_ps,500\n5,1\n2,2\n")
     with pytest.raises(dataio.DataError, match="row 3: time axis"):
         dataio.load_ta_csv(path)
-
-
-def test_time_unit_selection():
-    assert dataio.ta_time_unit(np.array([0.001, 0.5])) == "fs"
-    assert dataio.ta_time_unit(np.array([0.1, 500.0])) == "ps"
-    assert dataio.ta_time_unit(np.array([10.0, 5e5])) == "ns"
-    assert dataio.ta_time_unit(np.array([1e7, 5e8])) == "us"
-    assert dataio.ta_time_unit(np.array([1e13])) == "s"
 
 
 def test_manifest_records_checksums(tmp_path):
@@ -589,3 +583,24 @@ directory = {tmp_path}
     err = capsys.readouterr().err
     assert rc == 3
     assert "error: numerical" in err
+
+
+# ---------------------------------------------------------- package exports
+
+
+def test_exports_resolve_and_cover_readme_example():
+    names = quartetsim.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(quartetsim, n)] == []
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    example = text.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(example))
+        if isinstance(node, ast.ImportFrom) and node.module == "quartetsim"
+        for alias in node.names
+    ]
+    assert imported
+    assert [n for n in imported if n not in names] == []

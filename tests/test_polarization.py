@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from quartetsim import polarization as pol
+from quartetsim import spectra as sp
 from quartetsim import spincore as sc
 
 TABLE_PARAMS = pol.QuartetPolarizationParams(a=(0.11, -0.002, -0.027), r=(0.0, -0.01, 0.0))
@@ -15,6 +17,81 @@ TABLE_NUCLEAR = pol.NuclearPopulations(
 )
 
 coeffs = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
+
+
+# ------------------------------------------- dense reference route to rho_0
+#
+# The library never forms the 48x48 initial density matrix: it hands the
+# diagonal weights over the field-quantized coupled states straight to the
+# resonance search (``spectra._photo_channels``).  The helpers below build the
+# full matrix instead and serve as an independent check of that fast path.
+
+
+def rho_s(theta: float, phi: float, params: pol.QuartetPolarizationParams) -> np.ndarray:
+    """4x4 diagonal quartet density matrix in the field-quantized basis."""
+    return np.diag(pol.rho_s_entries(theta, phi, params)).astype(complex)
+
+
+def rho_0(rho_s_matrix, nuclear: pol.NuclearPopulations, doublet_populations=None) -> sc.HermitianOperator:
+    """Initial 48x48 density matrix in the coupled basis.
+
+    Quartet block: rho_S (x) diag(nuclear populations); trip-doublet block
+    zero unless ``doublet_populations`` is given.
+    """
+    rho_s_matrix = np.asarray(rho_s_matrix)
+    if rho_s_matrix.shape != (4, 4):
+        raise ValueError("rho_S must be 4x4")
+    p_nuc = nuclear.as_array()
+    full = np.zeros((sc.DIM, sc.DIM), dtype=complex)
+    full[:32, :32] = np.kron(rho_s_matrix, np.diag(p_nuc))
+    if doublet_populations is not None:
+        full[32:, 32:] = np.kron(np.diag(doublet_populations), np.diag(p_nuc)).astype(complex)
+    return sc.HermitianOperator(full)
+
+
+def initial_density_matrix(spec, orientation, model) -> sc.HermitianOperator:
+    """Molecular-frame rho_0 for a photo-generated quartet polarization."""
+    theta_q, phi_q = pol.field_in_quartet_frame(spec.frames, orientation)
+    coupled = rho_0(rho_s(theta_q, phi_q, model.params), model.nuclear, model.doublet_populations)
+    states = pol.coupled_states_along(orientation)
+    return sc.HermitianOperator(states @ coupled.matrix @ states.conj().T)
+
+
+@dataclass
+class EigenbasisPopulations:
+    """Populations of exact eigenstates, ascending energy order."""
+
+    energies_mhz: np.ndarray
+    populations: np.ndarray
+    degenerate: np.ndarray
+
+    def any_degenerate(self) -> bool:
+        return bool(self.degenerate.any())
+
+
+def _as_matrix(op) -> np.ndarray:
+    return op.matrix if isinstance(op, sc.HermitianOperator) else np.asarray(op, dtype=complex)
+
+
+def eigenbasis_populations(hamiltonian, rho0, degeneracy_tol: float = 1e-6) -> EigenbasisPopulations:
+    """Diagonal of rho_0 over the exact eigenvectors (secular approximation).
+
+    Within degenerate eigenvalue clusters the individual populations depend
+    on the arbitrary basis chosen by the solver; such levels are flagged.
+    """
+    h = _as_matrix(hamiltonian)
+    rho = _as_matrix(rho0)
+    if h.shape != rho.shape:
+        raise ValueError("Hamiltonian and density matrix dimensions differ")
+    energies, vecs = np.linalg.eigh(h)
+    populations = np.einsum("ai,ab,bi->i", vecs.conj(), rho, vecs).real
+    scale = max(1.0, float(np.abs(energies).max()))
+    gaps = np.diff(energies)
+    close = gaps < degeneracy_tol * scale
+    degenerate = np.zeros(len(energies), dtype=bool)
+    degenerate[:-1] |= close
+    degenerate[1:] |= close
+    return EigenbasisPopulations(energies, populations, degenerate)
 
 
 # -------------------------------------------------------- quartet expansion
@@ -56,7 +133,7 @@ def test_rho_s_transverse_values():
     # hand-evaluated expansion at theta = phi = 90 deg, m = 3/2 .. -3/2
     entries = pol.rho_s_entries(math.pi / 2, math.pi / 2, TABLE_PARAMS)
     assert_allclose(entries, [0.081875, 0.043625, -0.059625, -0.065875], atol=1e-12)
-    mat = pol.rho_s(math.pi / 2, math.pi / 2, TABLE_PARAMS)
+    mat = rho_s(math.pi / 2, math.pi / 2, TABLE_PARAMS)
     assert mat.shape == (4, 4)
     assert_allclose(np.diag(mat), entries.astype(complex), atol=1e-12)
     assert np.abs(mat - np.diag(np.diag(mat))).max() == 0
@@ -107,8 +184,8 @@ def test_field_in_quartet_frame_override_axis():
 
 
 def test_rho_0_block_structure():
-    mat = pol.rho_s(1.0, 2.0, TABLE_PARAMS)
-    op = pol.rho_0(mat, TABLE_NUCLEAR)
+    mat = rho_s(1.0, 2.0, TABLE_PARAMS)
+    op = rho_0(mat, TABLE_NUCLEAR)
     assert op.dim == 48
     assert abs(np.trace(op.matrix)) < 1e-12
     expected = np.kron(mat, np.diag(TABLE_NUCLEAR.as_array()))
@@ -118,12 +195,12 @@ def test_rho_0_block_structure():
 
 
 def test_rho_0_doublet_hook():
-    mat = pol.rho_s(1.0, 0.0, TABLE_PARAMS)
-    op = pol.rho_0(mat, pol.NuclearPopulations.uniform(), doublet_populations=(0.2, -0.2))
+    mat = rho_s(1.0, 0.0, TABLE_PARAMS)
+    op = rho_0(mat, pol.NuclearPopulations.uniform(), doublet_populations=(0.2, -0.2))
     block = op.matrix[32:, 32:]
     assert_allclose(np.diag(block).real, np.kron([0.2, -0.2], np.full(8, 0.125)), atol=1e-14)
     with pytest.raises(ValueError):
-        pol.rho_0(np.zeros((3, 3)), pol.NuclearPopulations.uniform())
+        rho_0(np.zeros((3, 3)), pol.NuclearPopulations.uniform())
 
 
 def test_coupled_states_orthonormal():
@@ -136,9 +213,24 @@ def test_coupled_states_orthonormal():
 def test_initial_density_matrix_is_hermitian_traceless():
     spec = sc.vanadyl_porphyrin_dimer()
     model = pol.PhotoQuartetPolarization(TABLE_PARAMS, TABLE_NUCLEAR)
-    rho = pol.initial_density_matrix(spec, sc.LabOrientation(0.9, 2.2), model)
+    rho = initial_density_matrix(spec, sc.LabOrientation(0.9, 2.2), model)
     assert abs(np.trace(rho.matrix)) < 1e-12
     assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-12
+
+
+@pytest.mark.parametrize("doublet", [None, (0.2, -0.2)])
+def test_photo_channels_match_dense_route(doublet):
+    # The fast path's weights over its states must be rho_0 in that basis.
+    spec = sc.vanadyl_porphyrin_dimer()
+    model = pol.PhotoQuartetPolarization(TABLE_PARAMS, TABLE_NUCLEAR, doublet)
+    rng = np.random.default_rng(20)
+    for _ in range(20):
+        o = sc.LabOrientation(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+        channels = sp._photo_channels(spec, o, model)
+        assert channels.weights.shape == (1, 32 if doublet is None else 48)
+        rho = initial_density_matrix(spec, o, model).matrix
+        projected = channels.states.conj().T @ rho @ channels.states
+        assert_allclose(projected, np.diag(channels.weights[0]), rtol=0, atol=1e-15)
 
 
 # ----------------------------------------------------- eigenstate weights
@@ -147,17 +239,17 @@ def test_initial_density_matrix_is_hermitian_traceless():
 def test_eigenbasis_populations_shared_basis_exact():
     h = np.diag([0.0, 5.0, 20.0])
     rho = np.diag([0.5, 0.3, 0.2])
-    out = pol.eigenbasis_populations(h, rho)
+    out = eigenbasis_populations(h, rho)
     assert_allclose(out.populations, [0.5, 0.3, 0.2], atol=1e-14)
     assert_allclose(out.energies_mhz, [0.0, 5.0, 20.0])
     assert not out.any_degenerate()
 
 
 def test_eigenbasis_populations_flags_degeneracy_and_shape():
-    out = pol.eigenbasis_populations(np.diag([0.0, 1e-9, 10.0]), np.eye(3) / 3)
+    out = eigenbasis_populations(np.diag([0.0, 1e-9, 10.0]), np.eye(3) / 3)
     assert out.degenerate[0] and out.degenerate[1] and not out.degenerate[2]
     with pytest.raises(ValueError):
-        pol.eigenbasis_populations(np.eye(3), np.eye(4))
+        eigenbasis_populations(np.eye(3), np.eye(4))
 
 
 def test_quartet_marginals_along_lab_axes():
@@ -171,8 +263,8 @@ def test_quartet_marginals_along_lab_axes():
     for (theta, phi), expected in frozen.items():
         o = sc.LabOrientation(theta, phi)
         h = sc.build_hamiltonian(spec, 340.0, o)
-        rho = pol.initial_density_matrix(spec, o, model)
-        out = pol.eigenbasis_populations(h, rho)
+        rho = initial_density_matrix(spec, o, model)
+        out = eigenbasis_populations(h, rho)
         assert abs(out.populations.sum()) < 1e-10
         # lowest 32 eigenstates form the quartet manifold; octets per m level
         marginals = out.populations[:32].reshape(4, 8).sum(axis=1)
@@ -226,33 +318,10 @@ def test_triplet_zero_field_states():
     assert_allclose(np.abs(states[:, 1]), [1 / math.sqrt(2), 0, 1 / math.sqrt(2)], atol=1e-12)
 
 
-def test_triplet_highfield_populations_along_z():
-    pops = pol.triplet_highfield_populations((0.3, 0.5, 0.2), np.eye(3))
-    assert_allclose(pops, [0.4, 0.2, 0.4], atol=1e-12)
-    assert math.isclose(pops.sum(), 1.0, rel_tol=1e-12)
-
-
 def test_triplet_zero_field_polarization_validation():
     pol.TripletZeroFieldPolarization((0.1, 0.2, 0.7))
     with pytest.raises(ValueError):
         pol.TripletZeroFieldPolarization((-0.1, 0.5, 0.6))
-
-
-# ------------------------------------------------------- hyperfine sharing
-
-
-def test_project_hyperfine_split():
-    spec = sc.vanadyl_porphyrin_dimer()
-    quartet = pol.project_hyperfine(spec.a_vo, "quartet")
-    doublet = pol.project_hyperfine(spec.a_vo, "doublet")
-    assert_allclose(quartet.principal, np.asarray(spec.a_vo.principal) / 3, atol=1e-12)
-    assert_allclose(
-        np.asarray(quartet.principal) + np.asarray(doublet.principal),
-        np.zeros(3), atol=1e-12,
-    )
-    assert math.isclose(quartet.principal[2], 475.0 / 3, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        pol.project_hyperfine(spec.a_vo, "sextet")
 
 
 def test_nuclear_polarization_gain():

@@ -203,6 +203,58 @@ def test_double_crossing_inside_one_grid_step():
     assert diag.n_subdivided > 0 and diag.n_sticks == 2
 
 
+# Three-level systems on a 1 mT search grid over 300-315 mT (no padding).
+FALLBACK_SWEEP = sp.FieldSweepConfig(
+    field_start_mt=300.0, field_stop_mt=315.0, search_points=16, pad_linewidths=0.0
+)
+
+
+def _assert_on_resonance(h0, h1, sticks):
+    # An independent eigh puts each stick's (lower, upper) pair through the
+    # microwave frequency within 1e-4 mT of the stick field.
+    def mismatch(stick, field_mt):
+        evals = np.linalg.eigvalsh(h0 + field_mt * h1)
+        return evals[stick.upper] - evals[stick.lower] - 9500.0
+
+    for s in sticks:
+        assert mismatch(s, s.field_mt - 1e-4) * mismatch(s, s.field_mt + 1e-4) < 0, s.field_mt
+
+
+def test_tie_fallback_at_exact_crossing_on_a_grid_node():
+    # H(B) = (B - 308 mT) M: all three levels cross at the grid node 308 mT,
+    # where H is exactly zero and eigh returns the unit vectors.  Below it the
+    # outer levels of M are u0 and u2, which share their largest component
+    # (1/sqrt 2 against 1/2), so overlap tracking sends both to the same
+    # unit vector.
+    r = 1 / math.sqrt(2)
+    u = np.array([[r, 0, r], [0.5, r, -0.5], [0.5, -r, -0.5]])
+    h1 = (5700.0 * u @ np.diag([-1.0, 0.3, 1.0]) @ u.T).astype(complex)
+    h0 = -308.0 * h1
+    sticks, diag = sp.find_resonances(
+        h0, h1, FALLBACK_SWEEP, sp.ThermalChannel(1.0), sc.spin_operators(1.0)[:2]
+    )
+    assert diag.n_tie_fallback > 0
+    # |B - 308| * 5700 * (m_j - m_i) = 9500 for each of the three level pairs.
+    assert diag.n_sticks == 6
+    _assert_on_resonance(h0, h1, sticks)
+
+
+def test_untracked_fallback_at_crossing_inside_one_grid_step():
+    # Diagonal H: level e1 falls through 9500 MHz at 307.8 mT after crossing
+    # e2 (above 9500 MHz there) at 307.3 mT.  Overlap tracking follows e1
+    # onto the top level at 308 mT, whose gap to e0 does not bracket the
+    # microwave frequency; the sorted pair (0, 1) does.  The e0-e2
+    # resonance at 302.4 mT is forbidden for the spin-1 operators.
+    h1 = np.diag([0.0, -500.0, 50.0]).astype(complex)
+    h0 = np.diag([0.0, 9900.0, 9730.0]).astype(complex) - 307.0 * h1
+    sticks, diag = sp.find_resonances(
+        h0, h1, FALLBACK_SWEEP, sp.ThermalChannel(1.0), sc.spin_operators(1.0)[:2]
+    )
+    assert diag.n_untracked_fallback > 0
+    assert [(s.lower, s.upper) for s in sticks] == [(0, 1)]
+    _assert_on_resonance(h0, h1, sticks)
+
+
 @pytest.mark.parametrize(
     "weak, theta, phi", [(False, 1.53, 0.10), (False, 0.62, 5.74), (True, 0.54, 0.21), (True, 0.84, 4.07)]
 )
@@ -353,7 +405,7 @@ def test_simulation_covariant_under_global_rotation():
 
 def test_powder_spectrum_net_emissive():
     spec = sc.vanadyl_porphyrin_dimer()
-    spectrum = sp.powder_average(spec, TABLE_MODEL, FAST_SWEEP, grid_size=16)
+    spectrum = sp.simulate_dimer(spec, TABLE_MODEL, FAST_SWEEP, sp.PowderScheme(16))
     assert spectrum.net_integral() < 0
     assert spectrum.metadata["scheme"]["kind"] == "powder"
     assert spectrum.metadata["diagnostics"]["sticks"] > 0

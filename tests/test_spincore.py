@@ -307,17 +307,6 @@ def test_coupled_transform_clebsch_gordan_values():
     assert np.abs(u.imag).max() < 1e-12
 
 
-def test_total_spin_projectors():
-    pq, pd = sc.total_spin_projectors()
-    eye = np.eye(48)
-    assert_allclose(pq @ pq, pq, atol=1e-12)
-    assert_allclose(pd @ pd, pd, atol=1e-12)
-    assert_allclose(pq @ pd, np.zeros((48, 48)), atol=1e-12)
-    assert_allclose(pq + pd, eye, atol=1e-12)
-    assert math.isclose(np.trace(pq).real, 32.0, abs_tol=1e-10)
-    assert math.isclose(np.trace(pd).real, 16.0, abs_tol=1e-10)
-
-
 # ------------------------------------------------------------ regime report
 
 
