@@ -67,6 +67,12 @@ def _out_paths(cfg: configio.RunConfig, override_dir: str | None) -> tuple[str, 
     return out_dir, prefix, want_plot
 
 
+def _write_report(path: str, report: str, manifest: dataio.RunManifest) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(report + "\n")
+    manifest.add_output(path)
+
+
 # ------------------------------------------------------------- simulate
 
 
@@ -88,19 +94,16 @@ def _cmd_simulate(args) -> int:
         model = _validated(cfg.build_polarization)
         scheme = _validated(cfg.build_scheme)
         spectrum = _compute(lambda: sp.simulate_dimer(system, model, sweep, scheme))
-    elif cfg.model == "triplet":
-        s = cfg.sections["system"]
-        populations = cfg.sections["polarization"]["populations"]
-        grid = cfg.get("scheme", "grid_size", 256)
-        spectrum = _compute(lambda: sp.simulate_triplet(
-            s["g"], s["zfs_d_mhz"], s["zfs_e_mhz"], populations, sweep, grid))
     else:
-        s = cfg.sections["system"]
-        grid = cfg.get("scheme", "grid_size", 256)
-        temperature = cfg.get("polarization", "temperature_k", 295.0)
-        g_t = _validated(lambda: spincore.InteractionTensor(s["g"]))
-        a_t = _validated(lambda: spincore.InteractionTensor(s["a_mhz"]))
-        spectrum = _compute(lambda: sp.simulate_cw_doublet(g_t, a_t, sweep, grid, temperature))
+        # The [system] and [polarization] keys of these models name the
+        # parameters of their simulate functions.
+        grid_size = _validated(lambda: cfg.build_scheme("powder")).grid_size
+        s, polar = cfg.sections["system"], cfg.sections.get("polarization", {})
+        if cfg.model == "triplet":
+            spectrum = _compute(lambda: sp.simulate_triplet(**s, **polar, sweep=sweep, grid_size=grid_size))
+        else:
+            g_t, a_t = spincore.InteractionTensor(s["g"]), spincore.InteractionTensor(s["a_mhz"])
+            spectrum = _compute(lambda: sp.simulate_cw_doublet(g_t, a_t, sweep, grid_size, **polar))
 
     if not np.all(np.isfinite(spectrum.intensity)):
         raise NumericalError("simulation produced non-finite intensities")
@@ -125,6 +128,10 @@ def _cmd_simulate(args) -> int:
 # ------------------------------------------------------------ fit-trepr
 
 
+def _fit_settings(cfg: configio.RunConfig) -> fitting.FitSettings:
+    return fitting.FitSettings(**configio._fields_from(fitting.FitSettings, cfg.sections["fit"]))
+
+
 def _fit_schemes(cfg: configio.RunConfig, n_data: int) -> list[sp.OrientationScheme]:
     tokens = cfg.get("fit", "schemes")
     if tokens is None:
@@ -144,8 +151,8 @@ def _cmd_fit_trepr(args) -> int:
     if cfg.model != "quartet-dimer":
         raise configio.ConfigError(["fit-trepr requires model = quartet-dimer"])
     configio.require_sections(cfg, "system", "polarization", "sweep", "fit")
-    polar = cfg.sections["polarization"]
-    if polar.get("kind", "photo") != "photo":
+    start = _validated(cfg.build_polarization)
+    if not isinstance(start, pol.PhotoQuartetPolarization):
         raise configio.ConfigError(["[polarization] kind: fit-trepr needs photo start values"])
 
     system = _validated(cfg.build_system)
@@ -162,18 +169,15 @@ def _cmd_fit_trepr(args) -> int:
         name = os.path.splitext(os.path.basename(path))[0]
         datasets.append(_validated(lambda: fitting.FitDataset(name, spectrum, scheme, weight)))
 
-    settings_kwargs = {n: fit_sec[n] for n in
-                       ("max_iterations", "n_starts", "tolerance", "seed", "start_spread")
-                       if n in fit_sec}
     problem = _validated(lambda: fitting.FitProblem(
         system=system,
         sweep=sweep,
         datasets=tuple(datasets),
-        start_params=pol.QuartetPolarizationParams(a=polar["a"], r=polar["r"]),
-        start_nuclear=pol.NuclearPopulations(polar["rho_n"]),
+        start_params=start.params,
+        start_nuclear=start.nuclear,
         free=fit_sec["free"],
-        coefficient_bounds=(fit_sec.get("bound_lo", -1.0), fit_sec.get("bound_hi", 1.0)),
-        settings=fitting.FitSettings(**settings_kwargs),
+        coefficient_bounds=configio._coefficient_bounds(fit_sec),
+        settings=_fit_settings(cfg),
     ))
     model = _compute(lambda: fitting.FitModel.build(problem))
     result = _compute(lambda: fitting.fit_simultaneous(problem, model))
@@ -181,10 +185,7 @@ def _cmd_fit_trepr(args) -> int:
     print(report)
 
     out_dir, prefix, want_plot = _out_paths(cfg, args.out_dir)
-    report_path = os.path.join(out_dir, prefix + "_fit_report.txt")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report + "\n")
-    manifest.add_output(report_path)
+    _write_report(os.path.join(out_dir, prefix + "_fit_report.txt"), report, manifest)
     best = fitting.evaluate_model(problem, result.params, result.nuclear, result.scales, model)
     for ds, model_curve in zip(problem.datasets, best):
         path = os.path.join(out_dir, f"{prefix}_fit_{ds.name}.csv")
@@ -224,10 +225,7 @@ def _cmd_fit_ta(args) -> int:
     print(report)
 
     out_dir, prefix, _ = _out_paths(cfg, args.out_dir)
-    report_path = os.path.join(out_dir, prefix + "_kinetics.txt")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report + "\n")
-    manifest.add_output(report_path)
+    _write_report(os.path.join(out_dir, prefix + "_kinetics.txt"), report, manifest)
     eas_path = os.path.join(out_dir, prefix + "_eas.csv")
     dataio.save_eas_csv(eas_path, data.wavelengths, result.eas)
     manifest.add_output(eas_path)
@@ -249,8 +247,35 @@ def _cmd_dipole(args) -> int:
     return EXIT_OK
 
 
+def _section_builds(cfg: configio.RunConfig) -> list:
+    """The build step of every section present, as simulate, fit-trepr and fit-ta run it."""
+    builds = [cfg.build_sweep] if cfg.has("sweep") else []
+    if cfg.model == "quartet-dimer":
+        for section, build in (("system", cfg.build_system),
+                               ("polarization", cfg.build_polarization),
+                               ("scheme", cfg.build_scheme)):
+            if cfg.has(section):
+                builds.append(build)
+    else:
+        builds.append(lambda: cfg.build_scheme("powder"))
+    if cfg.has("fit"):
+        builds.append(lambda: _fit_settings(cfg))
+        builds += [lambda kind=kind: cfg.build_scheme(kind) for kind in cfg.get("fit", "schemes", ())]
+    if cfg.has("kinetics"):
+        builds += [cfg.build_kinetic_model, cfg.kinetic_settings]
+    return builds
+
+
 def _cmd_validate(args) -> int:
     cfg = configio.parse_config(args.config)
+    violations = []
+    for build in _section_builds(cfg):
+        try:
+            _validated(build)
+        except configio.ConfigError as exc:
+            violations += exc.violations
+    if violations:
+        raise configio.ConfigError(violations)
     print(f"config ok: model = {cfg.model}")
     if cfg.model == "quartet-dimer" and cfg.has("system"):
         system = _validated(cfg.build_system)
@@ -317,10 +342,7 @@ def entry(argv: list[str] | None = None) -> int:
         for line in exc.violations:
             print(f"error: validation: {line}", file=sys.stderr)
         return EXIT_VALIDATION
-    except dataio.DataError as exc:
-        print(f"error: validation: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (dataio.DataError, OSError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

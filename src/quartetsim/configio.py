@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from . import fitting
 from . import kinetics as kin
 from . import polarization as pol
 from . import spectra as sp
@@ -122,8 +123,8 @@ _FIT = _keys(
     Key("free", "tokens", required=True, choices=tuple(sorted(("a1", "a2", "a3", "r1", "r2", "r3", "rho_n")))),
     Key("schemes", "tokens", choices=SCHEME_KINDS),
     Key("weights", "floats"),
-    Key("n_starts", "int"),
-    Key("max_iterations", "int"),
+    Key("n_starts", "int", positive=True),
+    Key("max_iterations", "int", positive=True),
     Key("tolerance", "float", positive=True),
     Key("seed", "int"),
     Key("start_spread", "float", positive=True),
@@ -137,8 +138,8 @@ _KINETICS = _keys(
     Key("t0_ps", "float"),
     Key("fit_t0", "bool"),
     Key("fit_irf", "bool"),
-    Key("n_starts", "int"),
-    Key("max_iterations", "int"),
+    Key("n_starts", "int", positive=True),
+    Key("max_iterations", "int", positive=True),
     Key("tolerance", "float", positive=True),
     Key("seed", "int"),
     Key("log10_spread", "float", positive=True),
@@ -150,26 +151,31 @@ _OUTPUT = _keys(
     Key("plot_script", "bool"),
 )
 
-# Section order is also the canonical emission order.
-_SECTIONS = ("meta", "system", "polarization", "sweep", "scheme", "fit", "kinetics", "output")
-
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _schema_for(model: str, section: str) -> dict[str, Key] | None:
-    if section == "meta":
-        return _META
-    if section == "system":
-        return _SYSTEM.get(model)
-    if section == "polarization":
-        return _POLARIZATION.get(model)
+def _schemas(model: str) -> dict[str, dict[str, Key]]:
+    """Schema of every section for ``model``, in canonical emission order."""
     return {
+        "meta": _META,
+        "system": _SYSTEM[model],
+        "polarization": _POLARIZATION[model],
         "sweep": _SWEEP,
         "scheme": _SCHEME,
         "fit": _FIT,
         "kinetics": _KINETICS,
         "output": _OUTPUT,
-    }.get(section)
+    }
+
+
+def _fields_from(cls, section: dict, suffix: str = "") -> dict:
+    """Keyword arguments of dataclass ``cls``: the keys of ``section`` named ``<field><suffix>``."""
+    return {f.name: section[f.name + suffix] for f in fields(cls) if f.name + suffix in section}
+
+
+def _coefficient_bounds(fit: dict) -> tuple[float, float]:
+    lo, hi = fitting.FitProblem.coefficient_bounds  # the dataclass default
+    return fit.get("bound_lo", lo), fit.get("bound_hi", hi)
 
 
 def _parse_value(section: str, key: Key, raw: str, errors: list[str]):
@@ -190,27 +196,17 @@ def _parse_value(section: str, key: Key, raw: str, errors: list[str]):
             complain(f"must be a boolean (true/false); got {raw!r}")
             return None
         return _BOOL_WORDS[word]
-    if key.kind == "int":
+    if key.kind in ("int", "float"):
         try:
-            value = int(raw.strip())
+            value = (int if key.kind == "int" else float)(raw.strip())
         except ValueError:
-            complain(f"must be an integer; got {raw!r}")
-            return None
-        if key.positive and value <= 0:
-            complain("must be > 0")
-            return None
-        return value
-    if key.kind == "float":
-        try:
-            value = float(raw.strip())
-        except ValueError:
-            complain(f"must be a number; got {raw!r}")
+            complain(f"must be {'an integer' if key.kind == 'int' else 'a number'}; got {raw!r}")
             return None
         if not math.isfinite(value):
             complain("must be finite")
             return None
         if key.positive and value <= 0:
-            complain(key.message or "must be > 0")
+            complain("must be > 0")
             return None
         return value
     if key.kind == "floats":
@@ -257,26 +253,15 @@ class RunConfig:
     # ------------------------------------------------------------ builders
 
     def build_system(self) -> spincore.SpinSystemSpec:
-        s = self.sections["system"]
         if self.model != "quartet-dimer":
             raise ConfigError([f"[system]: model {self.model!r} has no coupled-dimer description"])
-        return spincore.SpinSystemSpec.from_parameters(
-            exchange_cm=s["exchange_invcm"],
-            dipolar_mhz=s["dipolar_mhz"],
-            zfs_d_mhz=s["zfs_d_mhz"],
-            zfs_e_mhz=s["zfs_e_mhz"],
-            g_fp=s["g_fp"],
-            g_vo=s["g_vo"],
-            a_vo_mhz=s["a_vo_mhz"],
-            alpha_deg=s["alpha_deg"],
-            beta_deg=s["beta_deg"],
-            quartet_x_axis=s.get("quartet_x_axis"),
-        )
+        # Every other [system] key names a parameter of from_parameters.
+        s = dict(self.sections["system"])
+        return spincore.SpinSystemSpec.from_parameters(exchange_cm=s.pop("exchange_invcm"), **s)
 
     def build_polarization(self) -> pol.PolarizationModel:
         p = self.sections.get("polarization", {})
-        kind = p.get("kind", "photo")
-        if kind == "thermal":
+        if p.get("kind") == "thermal":
             return pol.ThermalPolarization(p["temperature_k"])
         return pol.PhotoQuartetPolarization(
             params=pol.QuartetPolarizationParams(a=p["a"], r=p["r"]),
@@ -285,47 +270,25 @@ class RunConfig:
         )
 
     def build_sweep(self) -> sp.FieldSweepConfig:
-        s = self.sections["sweep"]
-        kwargs = dict(
-            mw_frequency_ghz=s["mw_frequency_ghz"],
-            field_start_mt=s["field_start_mt"],
-            field_stop_mt=s["field_stop_mt"],
-        )
-        for name in ("n_points", "lineshape", "linewidth_mt", "search_points",
-                     "slope_floor_ghz_per_mt", "pad_linewidths"):
-            if name in s:
-                kwargs[name] = s[name]
-        return sp.FieldSweepConfig(**kwargs)
+        return sp.FieldSweepConfig(**self.sections["sweep"])
 
     def build_scheme(self, kind: str | None = None) -> sp.OrientationScheme:
         s = self.sections.get("scheme", {})
         kind = kind or s["kind"]
         if kind == "powder":
-            return sp.PowderScheme(s.get("grid_size", 256))
+            return sp.PowderScheme(**_fields_from(sp.PowderScheme, s))
         if kind in ("parallel", "perpendicular"):
-            kwargs = {}
-            for name in ("sigma_deg", "n_samples", "tilt_nodes", "transverse_nodes"):
-                if name in s:
-                    kwargs[name] = s[name]
-            return sp.AlignedScheme(kind, **kwargs)
+            return sp.AlignedScheme(kind, **_fields_from(sp.AlignedScheme, s))
         if "theta_deg" not in s:
             raise ConfigError(["[scheme] theta_deg: required for kind = single"])
-        return sp.SingleOrientationScheme(
-            math.radians(s["theta_deg"]), math.radians(s.get("phi_deg", 0.0))
-        )
+        angles = _fields_from(sp.SingleOrientationScheme, s, "_deg")
+        return sp.SingleOrientationScheme(**{n: math.radians(v) for n, v in angles.items()})
 
     def build_kinetic_model(self) -> kin.SequentialModel:
-        k = self.sections["kinetics"]
-        return kin.SequentialModel(
-            lifetimes=k["lifetimes_ps"],
-            irf_fwhm=k.get("irf_fwhm_ps", 0.0),
-            t0=k.get("t0_ps", 0.0),
-        )
+        return kin.SequentialModel(**_fields_from(kin.SequentialModel, self.sections["kinetics"], "_ps"))
 
     def kinetic_settings(self) -> kin.KineticFitSettings:
-        k = self.sections.get("kinetics", {})
-        kwargs = {n: k[n] for n in ("max_iterations", "n_starts", "tolerance", "seed", "log10_spread") if n in k}
-        return kin.KineticFitSettings(**kwargs)
+        return kin.KineticFitSettings(**_fields_from(kin.KineticFitSettings, self.sections.get("kinetics", {})))
 
     def output_paths(self) -> tuple[str, str, bool]:
         o = self.sections.get("output", {})
@@ -344,24 +307,19 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError([f"not parseable as INI: {exc}"]) from exc
 
-    errors: list[str] = []
     if not parser.has_section("meta"):
         raise ConfigError(["missing required section [meta]"])
-
-    meta_raw = dict(parser.items("meta"))
-    model = meta_raw.get("model", "")
+    model = parser.get("meta", "model", fallback="")
     if model not in MODELS:
-        errors.append(f"[meta] model: must be one of {', '.join(MODELS)}; got {model!r}")
-        raise ConfigError(errors)
+        raise ConfigError([f"[meta] model: must be one of {', '.join(MODELS)}; got {model!r}"])
 
+    errors: list[str] = []
+    schemas = _schemas(model)
     sections: dict = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
-            errors.append(f"unknown section [{section}]")
-            continue
-        schema = _schema_for(model, section)
+        schema = schemas.get(section)
         if schema is None:
-            errors.append(f"section [{section}] is not valid for model {model}")
+            errors.append(f"unknown section [{section}]")
             continue
         values = {}
         raw_items = dict(parser.items(section))
@@ -396,8 +354,7 @@ def _cross_checks(model: str, sections: dict, errors: list[str]) -> None:
 
     polar = sections.get("polarization")
     if polar is not None and model == "quartet-dimer":
-        kind = polar.get("kind", "photo")
-        if kind == "photo":
+        if polar.get("kind") != "thermal":
             for name in ("a", "r", "rho_n"):
                 if name not in polar:
                     errors.append(f"[polarization] {name}: required for kind = photo")
@@ -417,8 +374,7 @@ def _cross_checks(model: str, sections: dict, errors: list[str]) -> None:
 
     fit_sec = sections.get("fit")
     if fit_sec:
-        lo = fit_sec.get("bound_lo", -1.0)
-        hi = fit_sec.get("bound_hi", 1.0)
+        lo, hi = _coefficient_bounds(fit_sec)
         if not lo < hi:
             errors.append("[fit] bound_lo/bound_hi: need lo < hi")
         if "weights" in fit_sec:
@@ -426,16 +382,19 @@ def _cross_checks(model: str, sections: dict, errors: list[str]) -> None:
                 errors.append("[fit] weights: requires schemes")
             elif len(fit_sec["weights"]) != len(fit_sec["schemes"]):
                 errors.append("[fit] weights: length must match schemes")
-            if "weights" in fit_sec and any(w <= 0 for w in fit_sec["weights"]):
+            if any(w <= 0 for w in fit_sec["weights"]):
                 errors.append("[fit] weights: must be > 0")
 
-    kin_sec = sections.get("kinetics")
-    if kin_sec and "lifetimes_ps" in kin_sec:
+    kin_sec = sections.get("kinetics", {})
+    if "lifetimes_ps" in kin_sec:
         taus = kin_sec["lifetimes_ps"]
         if not 1 <= len(taus) <= kin.MAX_COMPARTMENTS:
             errors.append(f"[kinetics] lifetimes_ps: 1..{kin.MAX_COMPARTMENTS} entries supported")
         if any(t <= 0 for t in taus):
             errors.append("[kinetics] lifetimes_ps: must be > 0")
+    irf = kin_sec.get("irf_fwhm_ps")
+    if kin_sec.get("fit_irf") and (irf is None or irf <= 0):
+        errors.append("[kinetics] fit_irf: needs a positive initial irf_fwhm_ps")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -456,17 +415,13 @@ def _format_value(value) -> str:
 def emit_config(config: RunConfig) -> str:
     """Canonical text form: fixed section and key order, round-trip exact."""
     lines = []
-    for section in _SECTIONS:
+    for section, schema in _schemas(config.model).items():
         if section not in config.sections:
             continue
-        schema = _schema_for(config.model, section) or {}
         values = config.sections[section]
         lines.append(f"[{section}]")
         for name in schema:
             if name in values:
-                lines.append(f"{name} = {_format_value(values[name])}")
-        for name in values:  # pragma: no cover - schema covers all parsed keys
-            if name not in schema:
                 lines.append(f"{name} = {_format_value(values[name])}")
         lines.append("")
     return "\n".join(lines)

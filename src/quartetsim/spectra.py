@@ -21,7 +21,7 @@ emission.  With thermal populations every stick amplitude is non-negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -134,6 +134,9 @@ class SingleOrientationScheme:
 
     theta: float
     phi: float = 0.0
+
+    def __post_init__(self):
+        LabOrientation(self.theta, self.phi)  # the same angle checks as a field direction
 
 
 OrientationScheme = PowderScheme | AlignedScheme | SingleOrientationScheme
@@ -871,7 +874,7 @@ def simulate_triplet(
     zfs_e_mhz: float,
     populations: pol.TripletZeroFieldPolarization | tuple[float, float, float],
     sweep: FieldSweepConfig,
-    grid_size: int = 256,
+    grid_size: int = PowderScheme.grid_size,
 ) -> Spectrum:
     """Powder spectrum of an isolated spin-polarized triplet.
 
@@ -891,7 +894,7 @@ def simulate_triplet(
         n = orientation.unit_vector()
         return h0, g * BOHR_MHZ_PER_MT * sum(n[c] * ops[c] for c in range(3)), ops, channels
 
-    orientations, weights = powder_orientations(grid_size)
+    orientations, weights = scheme_orientations(PowderScheme(grid_size))
     total, diags = orientation_average(parts, sweep, orientations, weights, 1)
     meta = {
         "kind": "triplet",
@@ -906,7 +909,7 @@ def simulate_cw_doublet(
     g_tensor: spincore.InteractionTensor,
     a_tensor: spincore.InteractionTensor,
     sweep: FieldSweepConfig,
-    grid_size: int = 256,
+    grid_size: int = PowderScheme.grid_size,
     temperature_k: float = 295.0,
 ) -> Spectrum:
     """Rigid-limit CW spectrum (first derivative) of a S=1/2, I=7/2 center.
@@ -925,7 +928,7 @@ def simulate_cw_doublet(
         g_row = orientation.unit_vector() @ g_mat
         return h0, BOHR_MHZ_PER_MT * sum(g_row[c] * s_ops[c] for c in range(3)), s_ops, thermal
 
-    orientations, weights = powder_orientations(grid_size)
+    orientations, weights = scheme_orientations(PowderScheme(grid_size))
     total, _ = orientation_average(parts, sweep, orientations, weights, 1)
     axis = sweep.field_axis()
     derivative = np.gradient(total[0], axis)
@@ -940,28 +943,11 @@ def simulate_cw_doublet(
 
 
 def sweep_metadata(sweep: FieldSweepConfig) -> dict:
-    return {
-        "mw_frequency_ghz": sweep.mw_frequency_ghz,
-        "field_start_mt": sweep.field_start_mt,
-        "field_stop_mt": sweep.field_stop_mt,
-        "n_points": sweep.n_points,
-        "lineshape": sweep.lineshape,
-        "linewidth_mt": sweep.linewidth_mt,
-        "search_points": sweep.search_points,
-        "slope_floor_ghz_per_mt": sweep.slope_floor_ghz_per_mt,
-    }
+    return asdict(sweep)
+
+
+_SCHEME_KINDS = {PowderScheme: "powder", AlignedScheme: "aligned", SingleOrientationScheme: "single"}
 
 
 def scheme_metadata(scheme: OrientationScheme) -> dict:
-    if isinstance(scheme, PowderScheme):
-        return {"kind": "powder", "grid_size": scheme.grid_size}
-    if isinstance(scheme, AlignedScheme):
-        return {
-            "kind": "aligned",
-            "mode": scheme.mode,
-            "sigma_deg": scheme.sigma_deg,
-            "n_samples": scheme.n_samples,
-            "tilt_nodes": scheme.tilt_nodes,
-            "transverse_nodes": scheme.transverse_nodes,
-        }
-    return {"kind": "single", "theta": scheme.theta, "phi": scheme.phi}
+    return {"kind": _SCHEME_KINDS[type(scheme)], **asdict(scheme)}

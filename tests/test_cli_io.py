@@ -77,10 +77,12 @@ def test_bundled_config_round_trip():
     assert configio.emit_config(again) == text
 
 
-def test_bundled_ta_config_builds():
+def test_bundled_ta_config_builds(capsys):
     cfg = configio.parse_config(BUNDLED_TA)
     model = cfg.build_kinetic_model()
     assert model.n_compartments == 2
+    assert cli.entry(["validate", "--config", BUNDLED_TA]) == 0
+    assert "config ok" in capsys.readouterr().out
 
 
 def test_all_violations_reported_together():
@@ -324,8 +326,7 @@ def test_cli_simulate_reruns_bit_identical(tmp_path, capsys):
     assert sums_a == sums_b
 
 
-def test_cli_simulate_triplet_and_cw(tmp_path, capsys):
-    triplet = f"""
+TRIPLET_CFG = """
 [meta]
 schema_version = 1
 model = triplet
@@ -344,12 +345,13 @@ linewidth_mt = 3.0
 search_points = 301
 [scheme]
 kind = powder
-grid_size = 16
+grid_size = {grid_size}
 [output]
-directory = {tmp_path}
+directory = {outdir}
 prefix = trip
 """
-    cw = f"""
+
+CW_CFG = """
 [meta]
 schema_version = 1
 model = cw-doublet
@@ -367,15 +369,18 @@ linewidth_mt = 0.8
 search_points = 301
 [scheme]
 kind = powder
-grid_size = 16
+grid_size = {grid_size}
 [output]
-directory = {tmp_path}
+directory = {outdir}
 prefix = cw
 plot_script = true
 """
-    for name, text in (("trip.cfg", triplet), ("cw.cfg", cw)):
+
+
+def test_cli_simulate_triplet_and_cw(tmp_path, capsys):
+    for name, text in (("trip.cfg", TRIPLET_CFG), ("cw.cfg", CW_CFG)):
         path = tmp_path / name
-        path.write_text(text)
+        path.write_text(text.format(outdir=tmp_path, grid_size=16))
         assert cli.entry(["simulate", "--config", str(path)]) == 0
     capsys.readouterr()
     trip = dataio.load_spectrum_csv(tmp_path / "trip.csv")
@@ -385,6 +390,51 @@ plot_script = true
     assert "dI/dB" in (tmp_path / "cw.gp").read_text()
 
 
+@pytest.mark.parametrize("model, grid_size", [
+    ("triplet", 0), ("triplet", 4), ("cw-doublet", 0), ("cw-doublet", 4),
+])
+def test_cli_simulate_rejects_small_powder_grid(tmp_path, capsys, model, grid_size):
+    template = TRIPLET_CFG if model == "triplet" else CW_CFG
+    path = tmp_path / "run.cfg"
+    path.write_text(template.format(outdir=tmp_path, grid_size=grid_size))
+    rc = cli.entry(["simulate", "--config", str(path)])
+    assert rc == 2
+    assert "error: validation: powder grid_size must be at least 16" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_simulate_rejects_single_angle_out_of_range(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(_dimer_cfg(tmp_path, "[scheme]\nkind = single\ntheta_deg = 200.0"))
+    rc = cli.entry(["simulate", "--config", str(path)])
+    assert rc == 2
+    assert "error: validation: theta must lie in [0, pi]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, block, line", [
+    ("fit-trepr", "[fit]\nfree = a2\nmax_iterations = 0", "[fit] max_iterations: must be > 0"),
+    ("fit-trepr", "[fit]\nfree = a2\nn_starts = -2", "[fit] n_starts: must be > 0"),
+    ("fit-ta", "[kinetics]\nlifetimes_ps = 3.0 100.0\nmax_iterations = 0",
+     "[kinetics] max_iterations: must be > 0"),
+    ("fit-ta", "[kinetics]\nlifetimes_ps = 3.0 100.0\nn_starts = -2", "[kinetics] n_starts: must be > 0"),
+    ("fit-ta", "[kinetics]\nlifetimes_ps = 3.0 100.0\nfit_irf = true",
+     "[kinetics] fit_irf: needs a positive initial irf_fwhm_ps"),
+    ("fit-ta", "[kinetics]\nlifetimes_ps = 3.0 100.0\nirf_fwhm_ps = 0\nfit_irf = true",
+     "[kinetics] fit_irf: needs a positive initial irf_fwhm_ps"),
+], ids=["fit-max_iterations", "fit-n_starts", "kinetics-max_iterations", "kinetics-n_starts",
+        "fit_irf-no-irf", "fit_irf-zero-irf"])
+def test_solver_settings_checked_at_parse_time(tmp_path, capsys, command, block, line):
+    # A second, unrelated violation must be reported in the same run.
+    text = _dimer_cfg(tmp_path, SINGLE_SCHEME, extra="plot_script = maybe") + "\n" + block + "\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc = cli.entry([command, "--config", str(cfg), "--data", str(tmp_path / "never_read.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: validation: {line}" in err.splitlines()
+    assert "error: validation: [output] plot_script: must be a boolean" in err
+
+
 def test_cli_validate_reports_regime(capsys):
     rc = cli.entry(["validate", "--config", BUNDLED])
     out = capsys.readouterr().out
@@ -392,6 +442,132 @@ def test_cli_validate_reports_regime(capsys):
     assert "config ok" in out
     assert "strong-exchange regime: yes" in out
     assert "zeeman_mismatch" in out
+
+
+SMALL_GRID = "[scheme]\nkind = powder\ngrid_size = 4"
+
+
+@pytest.mark.parametrize("scheme, n_points, extra, messages", [
+    (SMALL_GRID, 256, "", ["powder grid_size must be at least 16"]),
+    (SINGLE_SCHEME, 1, "", ["n_points must be at least 2"]),
+    ("[scheme]\nkind = powder\nn_samples = 4", 256, "[fit]\nfree = a2\nschemes = parallel",
+     ["n_samples must be at least 8"]),
+    (SINGLE_SCHEME, 256, "[kinetics]\nlifetimes_ps = 5.0 5.0", ["coincident lifetimes"]),
+    (SMALL_GRID, 1, "", ["n_points must be at least 2", "powder grid_size must be at least 16"]),
+], ids=["scheme", "sweep", "fit-schemes", "kinetics", "all-reported"])
+def test_cli_validate_runs_section_builders(tmp_path, capsys, scheme, n_points, extra, messages):
+    text = _dimer_cfg(tmp_path, scheme).replace("n_points = 256", f"n_points = {n_points}")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "\n" + extra + "\n")
+    rc = cli.entry(["validate", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "config ok" not in captured.out
+    for message in messages:
+        assert f"error: validation: {message}" in captured.err
+
+
+class _Captured(Exception):
+    """Stops a command once the objects under test are built."""
+
+
+def test_every_optional_key_reaches_its_object(tmp_path, monkeypatch, capsys):
+    # (section, key): (config text, value the built object must carry), each
+    # away from its default.
+    values = {
+        ("sweep", "n_points"): ("300", 300),
+        ("sweep", "lineshape"): ("gaussian", "gaussian"),
+        ("sweep", "linewidth_mt"): ("2.5", 2.5),
+        ("sweep", "search_points"): ("99", 99),
+        ("sweep", "slope_floor_ghz_per_mt"): ("0.0002", 2e-4),
+        ("sweep", "pad_linewidths"): ("7.0", 7.0),
+        ("scheme", "grid_size"): ("20", 20),
+        ("scheme", "sigma_deg"): ("7.0", 7.0),
+        ("scheme", "n_samples"): ("9", 9),
+        ("scheme", "tilt_nodes"): ("3", 3),
+        ("scheme", "transverse_nodes"): ("5", 5),
+        ("scheme", "theta_deg"): ("30.0", math.radians(30.0)),
+        ("scheme", "phi_deg"): ("40.0", math.radians(40.0)),
+        ("fit", "schemes"): ("powder perpendicular single", (
+            sp.PowderScheme(20), sp.AlignedScheme("perpendicular", 7.0, 9, 3, 5),
+            sp.SingleOrientationScheme(math.radians(30.0), math.radians(40.0)))),
+        ("fit", "weights"): ("0.5 2.0 3.0", (0.5, 2.0, 3.0)),
+        ("fit", "n_starts"): ("7", 7),
+        ("fit", "max_iterations"): ("123", 123),
+        ("fit", "tolerance"): ("1e-07", 1e-7),
+        ("fit", "seed"): ("5", 5),
+        ("fit", "start_spread"): ("0.2", 0.2),
+        ("fit", "bound_lo"): ("-2.0", -2.0),
+        ("fit", "bound_hi"): ("3.0", 3.0),
+        ("kinetics", "irf_fwhm_ps"): ("0.4", 0.4),
+        ("kinetics", "t0_ps"): ("1.5", 1.5),
+        ("kinetics", "fit_t0"): ("true", True),
+        ("kinetics", "fit_irf"): ("true", True),
+        ("kinetics", "n_starts"): ("6", 6),
+        ("kinetics", "max_iterations"): ("77", 77),
+        ("kinetics", "tolerance"): ("1e-06", 1e-6),
+        ("kinetics", "seed"): ("8", 8),
+        ("kinetics", "log10_spread"): ("0.3", 0.3),
+    }
+    schemas = configio._schemas("quartet-dimer")
+    optional = {(section, key.name) for section in ("sweep", "scheme", "fit", "kinetics")
+                for key in schemas[section].values() if not key.required}
+    assert optional == set(values)
+
+    required = {
+        "sweep": "mw_frequency_ghz = 9.5\nfield_start_mt = 240.0\nfield_stop_mt = 440.0",
+        "scheme": "kind = powder",
+        "fit": "free = a2",
+        "kinetics": "lifetimes_ps = 3.0 100.0",
+    }
+    text = _dimer_cfg(tmp_path, "").split("[sweep]")[0]
+    for section, lines in required.items():
+        text += f"[{section}]\n{lines}\n"
+        text += "".join(f"{k} = {v[0]}\n" for (s, k), v in values.items() if s == section)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(text)
+    cfg = configio.parse_config(str(cfg_path))
+
+    arrived = {("sweep", k): v for k, v in dataclasses.asdict(cfg.build_sweep()).items()}
+    arrived[("scheme", "grid_size")] = cfg.build_scheme().grid_size
+    aligned = cfg.build_scheme("perpendicular")
+    arrived.update({("scheme", k): v for k, v in dataclasses.asdict(aligned).items()})
+    single = cfg.build_scheme("single")
+    arrived[("scheme", "theta_deg")], arrived[("scheme", "phi_deg")] = single.theta, single.phi
+
+    def capture_problem(problem):
+        captured["problem"] = problem
+        raise _Captured
+
+    def capture_kinetic_fit(data, model, **kwargs):
+        captured["kinetics"] = model, kwargs
+        raise _Captured
+
+    captured = {}
+    monkeypatch.setattr(fitting.FitModel, "build", capture_problem)
+    monkeypatch.setattr(kin, "global_fit", capture_kinetic_fit)
+    spectra = []
+    for name in ("powder", "perp", "single"):
+        spectra.append(tmp_path / f"{name}.csv")
+        dataio.save_spectrum_csv(spectra[-1], sp.Spectrum(np.linspace(240.0, 440.0, 300), np.ones(300)))
+    with pytest.raises(_Captured):
+        cli.entry(["fit-trepr", "--config", str(cfg_path), "--data", *map(str, spectra)])
+    ta_path = tmp_path / "ta.csv"
+    dataio.save_ta_csv(ta_path, kin.TADataset(np.linspace(0.0, 9.0, 10), np.array([500.0, 510.0]),
+                                              np.zeros((10, 2))))
+    with pytest.raises(_Captured):
+        cli.entry(["fit-ta", "--config", str(cfg_path), "--data", str(ta_path)])
+
+    problem = captured["problem"]
+    arrived.update({("fit", k): v for k, v in dataclasses.asdict(problem.settings).items()})
+    arrived[("fit", "bound_lo")], arrived[("fit", "bound_hi")] = problem.coefficient_bounds
+    arrived[("fit", "schemes")] = tuple(ds.scheme for ds in problem.datasets)
+    arrived[("fit", "weights")] = tuple(ds.weight for ds in problem.datasets)
+    model, kwargs = captured["kinetics"]
+    arrived[("kinetics", "irf_fwhm_ps")], arrived[("kinetics", "t0_ps")] = model.irf_fwhm, model.t0
+    arrived.update({("kinetics", k): v for k, v in dataclasses.asdict(kwargs["settings"]).items()})
+    arrived[("kinetics", "fit_t0")], arrived[("kinetics", "fit_irf")] = kwargs["fit_t0"], kwargs["fit_irf"]
+    assert {key: arrived.get(key) for key in values} == {key: v[1] for key, v in values.items()}
 
 
 def test_cli_fit_trepr_single_orientation(tmp_path, capsys):

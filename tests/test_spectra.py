@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -497,3 +498,17 @@ def test_metadata_round_trip_keys():
     assert scheme_meta["kind"] == "aligned" and scheme_meta["mode"] == "perpendicular"
     single = sp.scheme_metadata(sp.SingleOrientationScheme(0.5))
     assert single == {"kind": "single", "theta": 0.5, "phi": 0.0}
+
+
+def test_sweep_metadata_records_every_field():
+    sweep = sp.FieldSweepConfig(n_points=300, pad_linewidths=4.0)
+    meta = sp.sweep_metadata(sweep)
+    assert set(meta) == {f.name for f in dataclasses.fields(sp.FieldSweepConfig)}
+    assert meta == {name: getattr(sweep, name) for name in meta}
+
+
+def test_single_scheme_checks_angles():
+    with pytest.raises(ValueError, match="theta must lie"):
+        sp.SingleOrientationScheme(math.radians(200.0))
+    with pytest.raises(ValueError, match="finite"):
+        sp.SingleOrientationScheme(0.5, math.inf)
