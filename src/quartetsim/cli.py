@@ -159,7 +159,7 @@ def _cmd_fit_trepr(args) -> int:
     sweep = _validated(cfg.build_sweep)
     schemes = _fit_schemes(cfg, len(args.data))
     fit_sec = cfg.sections["fit"]
-    weights = fit_sec.get("weights", tuple(1.0 for _ in args.data))
+    weights = [{"weight": w} for w in fit_sec.get("weights", ())] or [{}] * len(schemes)
 
     manifest = dataio.RunManifest("fit-trepr", args.config)
     datasets = []
@@ -167,7 +167,7 @@ def _cmd_fit_trepr(args) -> int:
         spectrum = dataio.load_spectrum_csv(path)
         manifest.add_input(path)
         name = os.path.splitext(os.path.basename(path))[0]
-        datasets.append(_validated(lambda: fitting.FitDataset(name, spectrum, scheme, weight)))
+        datasets.append(_validated(lambda: fitting.FitDataset(name, spectrum, scheme, **weight)))
 
     problem = _validated(lambda: fitting.FitProblem(
         system=system,
@@ -215,12 +215,8 @@ def _cmd_fit_ta(args) -> int:
     manifest = dataio.RunManifest("fit-ta", args.config)
     manifest.add_input(args.data)
 
-    result = _compute(lambda: kin.global_fit(
-        data, model0,
-        fit_t0=k.get("fit_t0", False),
-        fit_irf=k.get("fit_irf", False),
-        settings=settings,
-    ))
+    flags = {name: k[name] for name in ("fit_t0", "fit_irf") if name in k}
+    result = _compute(lambda: kin.global_fit(data, model0, settings=settings, **flags))
     report = kin.kinetic_report(result, time_unit="ps")
     print(report)
 

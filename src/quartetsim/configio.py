@@ -120,7 +120,7 @@ _SCHEME = _keys(
 )
 
 _FIT = _keys(
-    Key("free", "tokens", required=True, choices=tuple(sorted(("a1", "a2", "a3", "r1", "r2", "r3", "rho_n")))),
+    Key("free", "tokens", required=True, choices=fitting.FREE_NAMES),
     Key("schemes", "tokens", choices=SCHEME_KINDS),
     Key("weights", "floats"),
     Key("n_starts", "int", positive=True),
@@ -371,6 +371,10 @@ def _cross_checks(model: str, sections: dict, errors: list[str]) -> None:
         scheme = sections.get("scheme")
         if scheme and scheme.get("kind") not in (None, "powder"):
             errors.append(f"[scheme] kind: model {model} supports only powder averaging")
+
+    for section in ("fit", "kinetics"):
+        if sections.get(section, {}).get("seed", 0) < 0:
+            errors.append(f"[{section}] seed: must be >= 0")
 
     fit_sec = sections.get("fit")
     if fit_sec:

@@ -30,12 +30,8 @@ from . import spincore
 from .constants import BOHR_MHZ_PER_MT, BOLTZMANN_J_PER_K, PLANCK_J_PER_HZ
 from .spincore import LabOrientation, SpinSystemSpec
 
-QUAD_STRUCTURE = np.array([1.0, -1.0, -1.0, 1.0])
-LINEAR_STRUCTURE = pol.QUARTET_M.copy()
-CUBIC_STRUCTURE = pol.QUARTET_M**3
 # Order of the six polarization coefficients throughout: a1 a2 a3 r1 r2 r3.
 PARAM_NAMES = ("a1", "a2", "a3", "r1", "r2", "r3")
-_PARAM_STRUCTURES = (1, 0, 2, 1, 0, 2)  # index into (quad, linear, cubic)
 
 LINESHAPES = ("lorentzian", "gaussian")
 
@@ -448,8 +444,6 @@ def find_resonances(
     sweep: FieldSweepConfig,
     channels: PopulationChannels | ThermalChannel,
     transverse_ops: tuple[np.ndarray, np.ndarray],
-    electron_axis_op: np.ndarray | None = None,
-    nuclear_axis_op: np.ndarray | None = None,
 ) -> tuple[list[Stick], SearchDiagnostics]:
     """Locate all microwave resonances of ``h0 + B h1`` in the sweep window.
 
@@ -474,8 +468,9 @@ def find_resonances(
     populations, slope and labels from the root's own eigenvectors.
 
     ``Stick.lower``/``upper`` are sorted level indices at the stick's
-    field.  Transitions flatter than the slope floor are discarded; every
-    fallback and refinement is counted in the diagnostics.
+    field; ``electron_m``/``nuclear_m`` stay unset (:func:`stick_spectrum`
+    fills them).  Transitions flatter than the slope floor are discarded;
+    every fallback and refinement is counted in the diagnostics.
     """
     nu_mw = sweep.mw_frequency_mhz()
     dim = h0.shape[0]
@@ -586,8 +581,6 @@ def find_resonances(
         for (y0, y1, dy0, dy1), root in zip(ends, roots):
             y0[n] = y1[n] = root
             dy0[n] = dy1[n] = 0.0
-        for e, vec in enumerate((u_r, w_r, u_r, w_r)):
-            v[e][n] = vec
 
     slope_floor = sweep.slope_floor_ghz_per_mt * 1e3
     flat = valid & (np.abs(slope) < slope_floor)
@@ -600,23 +593,11 @@ def find_resonances(
     diag.n_polished = int((polish & keep).sum())
 
     t, slope, b_res, li, lj = (a[keep] for a in (t, slope, b_res, li, lj))
-    vi0, vj0, vi1, vj1 = (a[keep] for a in v)
     tc = t[:, None]
     moment = np.maximum(_hermite(t, *(a[keep] for a in ends[0])), 0.0)
     p_low = _hermite(tc, *(a[keep] for a in ends[1]))
     p_up = _hermite(tc, *(a[keep] for a in ends[2]))
     amps = moment[:, None] * (p_low - p_up) / (np.abs(slope)[:, None] / 1e3)
-
-    def _expectations(op: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        def ev(u0, u1):
-            e0 = np.einsum("nd,de,ne->n", u0.conj(), op, u0).real
-            e1 = np.einsum("nd,de,ne->n", u1.conj(), op, u1).real
-            return (1 - t) * e0 + t * e1
-
-        return ev(vi0, vi1), ev(vj0, vj1)
-
-    em = _expectations(electron_axis_op) if electron_axis_op is not None else None
-    nm = _expectations(nuclear_axis_op) if nuclear_axis_op is not None else None
 
     order = np.argsort(b_res, kind="stable")
     sticks = [
@@ -626,8 +607,6 @@ def find_resonances(
             lower=int(li[n]),
             upper=int(lj[n]),
             slope_mhz_per_mt=float(slope[n]),
-            electron_m=(float(em[0][n]), float(em[1][n])) if em is not None else None,
-            nuclear_m=(float(nm[0][n]), float(nm[1][n])) if nm is not None else None,
         )
         for n in order
     ]
@@ -714,7 +693,6 @@ def orientation_average(
     orientations: list[LabOrientation],
     weights: np.ndarray,
     n_channels: int,
-    fold=None,
 ) -> tuple[np.ndarray, SearchDiagnostics]:
     """Weighted sum over orientations of convolved resonance spectra.
 
@@ -723,9 +701,7 @@ def orientation_average(
     whose components transverse to the field drive the transitions, and the
     population channels for :func:`find_resonances`.  Each orientation
     gives an ``(n_channels, n_points)`` block, zero where nothing resonates,
-    and the total is ``sum(weight * block)`` in orientation order.  A
-    ``fold(orientation, weight, block)`` takes each block instead; the
-    returned total then stays zero.
+    and the total is ``sum(weight * block)`` in orientation order.
     """
     total = np.zeros((n_channels, sweep.n_points))
     diags = SearchDiagnostics()
@@ -735,10 +711,7 @@ def orientation_average(
         sticks, diag = find_resonances(h0, h1, sweep, channels, transverse)
         diags.add(diag)
         block = convolve_lineshape(sticks, sweep) if sticks else np.zeros_like(total)
-        if fold is None:
-            total += weight * block
-        else:
-            fold(orientation, weight, block)
+        total += weight * block
     return total, diags
 
 
@@ -758,37 +731,34 @@ def _model_channels(spec: SpinSystemSpec, model: pol.PolarizationModel):
     """Single population channel of ``model`` as a function of orientation."""
     if isinstance(model, pol.ThermalPolarization):
         return lambda orientation: ThermalChannel(model.temperature_k)
-    return lambda orientation: _photo_channels(spec, orientation, model)
+    nuclear = model.nuclear.as_array()[None, :]
+    return _quartet_channels(spec, [model.params], nuclear, model.doublet_populations)
 
 
-def _photo_channels(
-    spec: SpinSystemSpec, orientation: LabOrientation, model: pol.PhotoQuartetPolarization
-) -> PopulationChannels:
-    theta_q, phi_q = pol.field_in_quartet_frame(spec.frames, orientation)
-    quartet = pol.rho_s_entries(theta_q, phi_q, model.params)
-    weights = np.kron(quartet, model.nuclear.as_array())
-    states = pol.coupled_states_along(orientation)
-    if model.doublet_populations is not None:
-        weights = np.concatenate(
-            [weights, np.kron(np.asarray(model.doublet_populations), model.nuclear.as_array())]
-        )
-        return PopulationChannels(states, weights[None, :])
-    return PopulationChannels(states[:, :32], weights[None, :])
+def _quartet_channels(
+    spec: SpinSystemSpec,
+    params: list[pol.QuartetPolarizationParams],
+    nuclear: np.ndarray,
+    doublet_populations: tuple[float, float] | None = None,
+):
+    """Photo-quartet population channels as a function of orientation.
 
+    Channel ``len(nuclear) * p + l`` holds the quartet populations of
+    ``params[p]`` (:func:`polarization.rho_s_entries`) times the nuclear
+    populations ``nuclear[l]``; ``doublet_populations`` adds the
+    trip-doublet block.
+    """
 
-def _basis_channels(orientation: LabOrientation) -> PopulationChannels:
-    # 24 channels: (quadrupolar, linear, cubic) quartet structures times the
-    # eight nuclear sublevels.  Spectra are linear in these, so any
-    # photo-quartet polarization is a contraction of the results.
-    structures = np.stack([QUAD_STRUCTURE, LINEAR_STRUCTURE, CUBIC_STRUCTURE])
-    weights = np.zeros((24, 32))
-    for s in range(3):
-        for l in range(8):
-            w = np.zeros((4, 8))
-            w[:, l] = structures[s]
-            weights[s * 8 + l] = w.ravel()
-    states = pol.coupled_states_along(orientation)[:, :32]
-    return PopulationChannels(states, weights)
+    def channels(orientation: LabOrientation) -> PopulationChannels:
+        theta_q, phi_q = pol.field_in_quartet_frame(spec.frames, orientation)
+        weights = np.kron(np.stack([pol.rho_s_entries(theta_q, phi_q, p) for p in params]), nuclear)
+        states = pol.coupled_states_along(orientation)
+        if doublet_populations is None:
+            return PopulationChannels(states[:, :32], weights)
+        doublet = np.kron([doublet_populations], nuclear)
+        return PopulationChannels(states, np.concatenate([weights, doublet], axis=1))
+
+    return channels
 
 
 def stick_spectrum(
@@ -797,14 +767,22 @@ def stick_spectrum(
     model: pol.PolarizationModel,
     sweep: FieldSweepConfig,
 ) -> list[Stick]:
-    """Resonance sticks of the dimer at one orientation (single channel)."""
+    """Resonance sticks of the dimer at one orientation (single channel).
+
+    ``electron_m``/``nuclear_m`` of each stick are <v|S.n|v> and <v|I.n|v>
+    of its lower and upper levels, from a diagonalization at its own field.
+    """
     h0, h1, s_tot, channels = _dimer_parts(spec, _model_channels(spec, model))(orientation)
-    nuc = spincore.product_operators()["nucleus"]
+    sticks, _ = find_resonances(h0, h1, sweep, channels, _transverse_ops(orientation, s_tot))
     n = orientation.unit_vector()
-    sn = sum(n[c] * s_tot[c] for c in range(3))
-    inuc = sum(n[c] * nuc[c] for c in range(3))
-    transverse = _transverse_ops(orientation, s_tot)
-    sticks, _ = find_resonances(h0, h1, sweep, channels, transverse, sn, inuc)
+    nuc = spincore.product_operators()["nucleus"]
+    axis_ops = [sum(n[c] * ops[c] for c in range(3)) for ops in (s_tot, nuc)]
+    for stick in sticks:
+        # One stick at a time: a batch would hold every stick's 48 x 48 matrices.
+        pair = np.linalg.eigh(h0 + stick.field_mt * h1)[1][:, [stick.lower, stick.upper]]
+        stick.electron_m, stick.nuclear_m = (
+            tuple(np.einsum("dk,de,ek->k", pair.conj(), op, pair).real.tolist()) for op in axis_ops
+        )
     return sticks
 
 
@@ -849,23 +827,14 @@ def quartet_basis_spectra(
     spec: SpinSystemSpec, sweep: FieldSweepConfig, scheme: OrientationScheme
 ) -> QuartetBasisSpectra:
     """Precompute the 6 x 8 basis spectra of the photo-quartet model."""
+    # 48 channels: each unit coefficient (a1 a2 a3 r1 r2 r3) times each
+    # nuclear sublevel.  Spectra are linear in these, so any photo-quartet
+    # polarization is a contraction of the results.
+    units = [pol.QuartetPolarizationParams(a=c[:3], r=c[3:]) for c in np.eye(6)]
+    parts = _dimer_parts(spec, _quartet_channels(spec, units, np.eye(8)))
     orientations, weights = scheme_orientations(scheme)
-    tensor = np.zeros((6, 8, sweep.n_points))
-
-    def fold(orientation, weight, block):
-        theta_q, phi_q = pol.field_in_quartet_frame(spec.frames, orientation)
-        sin2 = math.sin(theta_q) ** 2
-        cos2 = math.cos(theta_q) ** 2
-        angular = np.array(
-            [sin2, 1 - 3 * cos2, sin2, cos2, sin2 * math.cos(2 * phi_q), cos2]
-        )
-        shaped = block.reshape(3, 8, sweep.n_points)
-        for p in range(6):
-            tensor[p] += weight * angular[p] * shaped[_PARAM_STRUCTURES[p]]
-
-    parts = _dimer_parts(spec, _basis_channels)
-    orientation_average(parts, sweep, orientations, weights, 24, fold)
-    return QuartetBasisSpectra(sweep.field_axis(), tensor)
+    total, _ = orientation_average(parts, sweep, orientations, weights, 48)
+    return QuartetBasisSpectra(sweep.field_axis(), total.reshape(6, 8, sweep.n_points))
 
 
 def simulate_triplet(

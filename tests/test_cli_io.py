@@ -2,9 +2,11 @@
 
 import ast
 import dataclasses
+import inspect
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from quartetsim import spincore
 
 BUNDLED = os.path.join(os.path.dirname(spincore.__file__), "data", "published_dimer.cfg")
 BUNDLED_TA = os.path.join(os.path.dirname(spincore.__file__), "data", "ta_biexponential.cfg")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def _dimer_cfg(outdir, scheme_block, sweep_extra="", extra=""):
@@ -421,8 +424,10 @@ def test_cli_simulate_rejects_single_angle_out_of_range(tmp_path, capsys):
      "[kinetics] fit_irf: needs a positive initial irf_fwhm_ps"),
     ("fit-ta", "[kinetics]\nlifetimes_ps = 3.0 100.0\nirf_fwhm_ps = 0\nfit_irf = true",
      "[kinetics] fit_irf: needs a positive initial irf_fwhm_ps"),
+    ("fit-trepr", "[fit]\nfree = a2\nseed = -1", "[fit] seed: must be >= 0"),
+    ("fit-ta", "[kinetics]\nlifetimes_ps = 3.0 100.0\nseed = -1", "[kinetics] seed: must be >= 0"),
 ], ids=["fit-max_iterations", "fit-n_starts", "kinetics-max_iterations", "kinetics-n_starts",
-        "fit_irf-no-irf", "fit_irf-zero-irf"])
+        "fit_irf-no-irf", "fit_irf-zero-irf", "fit-seed", "kinetics-seed"])
 def test_solver_settings_checked_at_parse_time(tmp_path, capsys, command, block, line):
     # A second, unrelated violation must be reported in the same run.
     text = _dimer_cfg(tmp_path, SINGLE_SCHEME, extra="plot_script = maybe") + "\n" + block + "\n"
@@ -568,6 +573,66 @@ def test_every_optional_key_reaches_its_object(tmp_path, monkeypatch, capsys):
     arrived.update({("kinetics", k): v for k, v in dataclasses.asdict(kwargs["settings"]).items()})
     arrived[("kinetics", "fit_t0")], arrived[("kinetics", "fit_irf")] = kwargs["fit_t0"], kwargs["fit_irf"]
     assert {key: arrived.get(key) for key in values} == {key: v[1] for key, v in values.items()}
+
+
+def _readme_optional_defaults() -> dict[str, dict[str, str]]:
+    """The `key = value` pairs of the README "Optional keys" list, by section."""
+    with open(README, encoding="utf-8") as fh:
+        listing = fh.read().split("Optional keys and their defaults", 1)[1].split("\n\n")[1]
+    return {re.search(r"`\[(\w+)\]`", bullet).group(1): dict(re.findall(r"`(\w+) = ([^`]+)`", bullet))
+            for bullet in listing.split("\n- ")}
+
+
+def test_readme_defaults_build_the_default_objects(tmp_path, monkeypatch, capsys):
+    # Setting a key to the default the README gives it must build the same
+    # objects as leaving the key out.
+    defaults = _readme_optional_defaults()
+    sections = ("sweep", "scheme", "fit", "kinetics", "output")
+    assert all(defaults.get(section) for section in sections)
+    required = {
+        "sweep": "mw_frequency_ghz = 9.5\nfield_start_mt = 240.0\nfield_stop_mt = 440.0",
+        "scheme": "kind = single\ntheta_deg = 30.0",
+        "fit": "free = a2",
+        "kinetics": "lifetimes_ps = 3.0 100.0",
+        "output": "",
+    }
+    head = _dimer_cfg(tmp_path, "").split("[sweep]")[0]
+    spectrum_path, ta_path, cfg_path = tmp_path / "s.csv", tmp_path / "ta.csv", tmp_path / "run.cfg"
+    dataio.save_spectrum_csv(spectrum_path, sp.Spectrum(np.linspace(240.0, 440.0, 300), np.ones(300)))
+    dataio.save_ta_csv(ta_path, kin.TADataset(np.linspace(0.0, 9.0, 10), np.array([500.0, 510.0]),
+                                              np.zeros((10, 2))))
+    global_fit = inspect.signature(kin.global_fit)
+    built = {}
+
+    def capture_problem(problem):
+        built["fit"] = (problem.settings, problem.coefficient_bounds,
+                        tuple((ds.scheme, ds.weight) for ds in problem.datasets))
+        raise _Captured
+
+    def capture_kinetic_fit(*args, **kwargs):
+        call = global_fit.bind(*args, **kwargs)
+        call.apply_defaults()
+        built["kinetics"] = {k: v for k, v in call.arguments.items() if k != "data"}
+        raise _Captured
+
+    monkeypatch.setattr(fitting.FitModel, "build", capture_problem)
+    monkeypatch.setattr(kin, "global_fit", capture_kinetic_fit)
+
+    def build(line_in=None, line=""):
+        cfg_path.write_text(head + "".join(
+            f"[{s}]\n{lines}\n{line if s == line_in else ''}\n" for s, lines in required.items()))
+        cfg = configio.parse_config(str(cfg_path))
+        built.update(sweep=cfg.build_sweep(), output=cfg.output_paths(),
+                     scheme=tuple(cfg.build_scheme(kind) for kind in configio.SCHEME_KINDS))
+        for argv in (["fit-trepr", "--data", str(spectrum_path)], ["fit-ta", "--data", str(ta_path)]):
+            with pytest.raises(_Captured):
+                cli.entry([*argv, "--config", str(cfg_path)])
+        return dict(built)
+
+    base = build()
+    for section in sections:
+        for key, value in defaults[section].items():
+            assert build(section, f"{key} = {value}")[section] == base[section], f"[{section}] {key}"
 
 
 def test_cli_fit_trepr_single_orientation(tmp_path, capsys):
@@ -768,8 +833,7 @@ def test_exports_resolve_and_cover_readme_example():
     names = quartetsim.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(quartetsim, n)] == []
-    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(readme, encoding="utf-8") as fh:
+    with open(README, encoding="utf-8") as fh:
         text = fh.read()
     example = text.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     imported = [

@@ -23,7 +23,7 @@ coeffs = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1))
 #
 # The library never forms the 48x48 initial density matrix: it hands the
 # diagonal weights over the field-quantized coupled states straight to the
-# resonance search (``spectra._photo_channels``).  The helpers below build the
+# resonance search (``spectra._model_channels``).  The helpers below build the
 # full matrix instead and serve as an independent check of that fast path.
 
 
@@ -226,7 +226,7 @@ def test_photo_channels_match_dense_route(doublet):
     rng = np.random.default_rng(20)
     for _ in range(20):
         o = sc.LabOrientation(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-        channels = sp._photo_channels(spec, o, model)
+        channels = sp._model_channels(spec, model)(o)
         assert channels.weights.shape == (1, 32 if doublet is None else 48)
         rho = initial_density_matrix(spec, o, model).matrix
         projected = channels.states.conj().T @ rho @ channels.states

@@ -295,13 +295,25 @@ def test_stick_labels_resonate_at_their_field():
     upper = np.array([s.upper for s in sticks])
     mismatch = evals[rows, upper] - evals[rows, lower] - 9500.0
 
-    def level_slope(level):
+    def expectation(op, level):
         v = evecs[rows, :, level]
-        return np.einsum("nd,de,ne->n", v.conj(), h1, v).real
+        return np.einsum("nd,de,ne->n", v.conj(), op, v).real
 
-    field_error = np.abs(mismatch / (level_slope(upper) - level_slope(lower)))
+    field_error = np.abs(mismatch / (expectation(h1, upper) - expectation(h1, lower)))
     assert len(sticks) > 500
     assert field_error.max() <= 1e-4
+
+    # electron_m / nuclear_m are <v|S.n|v> and <v|I.n|v> of the oracle's
+    # eigenvectors of both levels at the stick's field.
+    n = orientation.unit_vector()
+    (tx, ty, tz), (dx, dy, dz), (ix, iy, iz) = (oracles.spin_matrices(spin) for spin in (1.0, 0.5, 3.5))
+    e3, e2, e8 = np.eye(3), np.eye(2), np.eye(8)
+    s_axis = sum(c * (np.kron(np.kron(t, e2), e8) + np.kron(np.kron(e3, d), e8))
+                 for c, t, d in zip(n, (tx, ty, tz), (dx, dy, dz)))
+    i_axis = sum(c * np.kron(np.kron(e3, e2), i) for c, i in zip(n, (ix, iy, iz)))
+    for op, got in ((s_axis, [s.electron_m for s in sticks]), (i_axis, [s.nuclear_m for s in sticks])):
+        expected = np.column_stack([expectation(op, lower), expectation(op, upper)])
+        assert np.abs(np.array(got) - expected).max() <= 1e-10
 
 
 # -------------------------------------------------------------- lineshapes
@@ -368,9 +380,16 @@ def test_simulation_linear_in_polarization():
     assert_allclose(doubled.intensity, 2 * base.intensity, atol=1e-12)
 
 
-def test_basis_spectra_reproduce_direct_simulation():
+@pytest.mark.parametrize("scheme", [
+    sp.SingleOrientationScheme(0.9, 1.7),
+    sp.PowderScheme(16),
+    sp.AlignedScheme("perpendicular", n_samples=8, tilt_nodes=3, transverse_nodes=2),
+], ids=["single", "powder", "perpendicular"])
+def test_basis_spectra_reproduce_direct_simulation(scheme):
+    # The multi-orientation schemes cover the per-orientation channel
+    # weights and the weighted sum over orientations (unequal weights in
+    # the aligned scheme).
     spec = sc.vanadyl_porphyrin_dimer()
-    scheme = sp.SingleOrientationScheme(0.9, 1.7)
     basis = sp.quartet_basis_spectra(spec, FAST_SWEEP, scheme)
     assert basis.tensor.shape == (6, 8, FAST_SWEEP.n_points)
     combined = basis.evaluate(TABLE_PARAMS, TABLE_NUCLEAR)
