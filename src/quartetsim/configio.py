@@ -399,6 +399,8 @@ def _cross_checks(model: str, sections: dict, errors: list[str]) -> None:
     irf = kin_sec.get("irf_fwhm_ps")
     if kin_sec.get("fit_irf") and (irf is None or irf <= 0):
         errors.append("[kinetics] fit_irf: needs a positive initial irf_fwhm_ps")
+    if kin_sec.get("fit_t0") and (irf is None or irf <= 0):
+        errors.append("[kinetics] fit_t0: needs a positive irf_fwhm_ps")
 
 
 def parse_config(path: str) -> RunConfig:

@@ -6,13 +6,18 @@ compartment is a sum of exponentials (Bateman solution) and convolution
 with the Gaussian turns every exponential into an exponentially modified
 Gaussian.  For fixed lifetimes the evolution-associated spectra (EAS) are a
 linear least-squares problem, so the fit runs as a variable projection:
-the outer simplex search moves only the lifetimes (optionally t0 and the
-IRF width), in log space to span the ps-to-microsecond range.
+the outer quasi-Newton search (L-BFGS-B) moves only the lifetimes
+(optionally t0 and the IRF width), in log space to span the
+ps-to-microsecond range.  Its gradient is the exact gradient of the
+projected cost (Golub & Pereyra, Inverse Problems 19, R1, 2003): with
+E = C+ D and R = D - C E, df/dtheta = -2 <R, (dC/dtheta) E>, because the
+term in dE/dtheta vanishes at the least-squares optimum E.  Only the small
+concentration matrix C is differentiated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -112,7 +117,7 @@ def _bateman_amplitudes(rates: np.ndarray) -> np.ndarray:
         feed = np.prod(rates[:comp])
         for i in range(comp + 1):
             denom = np.prod([rates[j] - rates[i] for j in range(comp + 1) if j != i])
-            amp[comp, i] = feed / denom if denom != 0 else feed
+            amp[comp, i] = feed / denom
     return amp
 
 
@@ -176,6 +181,66 @@ class GlobalFitResult:
     message: str = ""
 
 
+# Relative step of the central differences of the concentration matrix.
+_DIFF_STEP = 1e-6
+
+
+def _projected_cost(data: TADataset, init_model: SequentialModel, fit_t0: bool, fit_irf: bool):
+    """Start vector, its unpacking into a model, and the projected cost.
+
+    The parameters are log10 of each lifetime, then t0 (if fitted), then
+    log10 of the IRF FWHM (if fitted).  ``cost(x)`` returns
+    ||D - C E||^2 / scale^2 at E = C+ D, with scale the largest |D|, and its
+    gradient -2 <R, (dC/dx_j) E> / scale^2 with R = D - C E; dC/dx_j is a
+    central difference of the concentrations.  A vector that makes no valid
+    model (an overflowing or coincident lifetime, a rank-deficient C) costs
+    inf.
+    """
+    n_comp = init_model.n_compartments
+    x0 = list(np.log10(init_model.lifetimes))
+    if fit_t0:
+        if init_model.irf_fwhm <= 0:
+            raise ValueError(
+                "fit_t0 requires a positive irf_fwhm: without an IRF the cost jumps in t0"
+            )
+        x0.append(init_model.t0)
+    if fit_irf:
+        if init_model.irf_fwhm <= 0:
+            raise ValueError("fit_irf requires a positive initial irf_fwhm")
+        x0.append(np.log10(init_model.irf_fwhm))
+    x0 = np.asarray(x0)
+
+    def unpack(x: np.ndarray) -> SequentialModel:
+        with np.errstate(over="ignore"):
+            taus = tuple(10 ** x[:n_comp])
+            irf = float(10 ** x[-1]) if fit_irf else init_model.irf_fwhm
+        t0 = float(x[n_comp]) if fit_t0 else init_model.t0
+        return SequentialModel(lifetimes=taus, irf_fwhm=irf, t0=t0)
+
+    scale = float(np.abs(data.delta_a).max())
+
+    def cost(x: np.ndarray) -> tuple[float, np.ndarray]:
+        grad = np.zeros(len(x))
+        try:
+            conc = concentrations(unpack(x), data.times)
+            eas, _ = eas_solve(conc, data)
+            resid = data.delta_a - conc @ eas
+            # <R, dC E> = <R E^T, dC>, contracted over the small n_t x n_c matrix
+            resid_eas = resid @ eas.T
+            for j in range(len(x)):
+                step = np.zeros(len(x))
+                step[j] = _DIFF_STEP * max(1.0, abs(x[j]))
+                dconc = concentrations(unpack(x + step), data.times) - concentrations(
+                    unpack(x - step), data.times
+                )
+                grad[j] = -np.sum(resid_eas * dconc) / step[j]
+        except (ValueError, np.linalg.LinAlgError):
+            return np.inf, np.zeros(len(x))
+        return float(np.vdot(resid, resid)) / scale**2, grad / scale**2
+
+    return x0, unpack, cost
+
+
 def global_fit(
     data: TADataset,
     init_model: SequentialModel,
@@ -183,12 +248,16 @@ def global_fit(
     fit_irf: bool = False,
     settings: KineticFitSettings | None = None,
 ) -> GlobalFitResult:
-    """Fit lifetimes (and optionally t0, IRF width) by variable projection."""
+    """Fit lifetimes (and optionally t0, IRF width) by variable projection.
+
+    The lifetimes are reported in ascending order: the cost does not change
+    when two of them swap, so the order the optimizer ends in carries no
+    meaning.
+    """
     settings = settings or KineticFitSettings()
     n_comp = init_model.n_compartments
 
-    scale = float(np.abs(data.delta_a).max())
-    if scale == 0.0:
+    if not data.delta_a.any():
         model = init_model
         conc = concentrations(model, data.times)
         eas = np.zeros((n_comp, len(data.wavelengths)))
@@ -206,42 +275,15 @@ def global_fit(
             message="zero data: objective is flat, lifetimes unchanged",
         )
 
-    x0 = list(np.log10(init_model.lifetimes))
-    if fit_t0:
-        x0.append(init_model.t0)
-    if fit_irf:
-        if init_model.irf_fwhm <= 0:
-            raise ValueError("fit_irf requires a positive initial irf_fwhm")
-        x0.append(np.log10(init_model.irf_fwhm))
-    x0 = np.asarray(x0)
-
+    x0, unpack, cost = _projected_cost(data, init_model, fit_t0, fit_irf)
     t0_span = max(init_model.irf_fwhm, 10 ** x0[:n_comp].min())
-
-    def unpack(x: np.ndarray) -> SequentialModel:
-        taus = tuple(10 ** x[:n_comp])
-        pos = n_comp
-        t0 = init_model.t0
-        irf = init_model.irf_fwhm
-        if fit_t0:
-            t0 = float(x[pos])
-            pos += 1
-        if fit_irf:
-            irf = float(10 ** x[pos])
-        return SequentialModel(lifetimes=taus, irf_fwhm=irf, t0=t0)
 
     n_evals = 0
 
-    def objective(x: np.ndarray) -> float:
+    def counted_cost(x: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal n_evals
         n_evals += 1
-        try:
-            model = unpack(x)
-            conc = concentrations(model, data.times)
-            eas, _ = eas_solve(conc, data)
-        except (ValueError, np.linalg.LinAlgError):
-            return np.inf
-        r = data.delta_a - conc @ eas
-        return float(np.sum(r * r)) / scale**2
+        return cost(x)
 
     rng = np.random.default_rng(settings.seed)
     starts = [x0]
@@ -257,14 +299,14 @@ def global_fit(
     start_converged = []
     for x_start in starts:
         res = minimize(
-            objective,
+            counted_cost,
             x_start,
-            method="Nelder-Mead",
+            jac=True,
+            method="L-BFGS-B",
             options={
                 "maxiter": settings.max_iterations,
-                "xatol": settings.tolerance,
-                "fatol": settings.tolerance,
-                "adaptive": True,
+                "ftol": settings.tolerance,
+                "gtol": settings.tolerance,
             },
         )
         start_costs.append(float(res.fun))
@@ -272,7 +314,8 @@ def global_fit(
         if best is None or res.fun < best.fun:
             best = res
 
-    model = unpack(best.x)
+    fitted = unpack(best.x)
+    model = replace(fitted, lifetimes=tuple(sorted(fitted.lifetimes)))
     conc = concentrations(model, data.times)
     eas, _ = eas_solve(conc, data)
     resid = data.delta_a - conc @ eas

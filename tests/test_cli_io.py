@@ -424,10 +424,12 @@ def test_cli_simulate_rejects_single_angle_out_of_range(tmp_path, capsys):
      "[kinetics] fit_irf: needs a positive initial irf_fwhm_ps"),
     ("fit-ta", "[kinetics]\nlifetimes_ps = 3.0 100.0\nirf_fwhm_ps = 0\nfit_irf = true",
      "[kinetics] fit_irf: needs a positive initial irf_fwhm_ps"),
+    ("fit-ta", "[kinetics]\nlifetimes_ps = 3.0 100.0\nfit_t0 = true",
+     "[kinetics] fit_t0: needs a positive irf_fwhm_ps"),
     ("fit-trepr", "[fit]\nfree = a2\nseed = -1", "[fit] seed: must be >= 0"),
     ("fit-ta", "[kinetics]\nlifetimes_ps = 3.0 100.0\nseed = -1", "[kinetics] seed: must be >= 0"),
 ], ids=["fit-max_iterations", "fit-n_starts", "kinetics-max_iterations", "kinetics-n_starts",
-        "fit_irf-no-irf", "fit_irf-zero-irf", "fit-seed", "kinetics-seed"])
+        "fit_irf-no-irf", "fit_irf-zero-irf", "fit_t0-no-irf", "fit-seed", "kinetics-seed"])
 def test_solver_settings_checked_at_parse_time(tmp_path, capsys, command, block, line):
     # A second, unrelated violation must be reported in the same run.
     text = _dimer_cfg(tmp_path, SINGLE_SCHEME, extra="plot_script = maybe") + "\n" + block + "\n"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -248,6 +249,71 @@ def test_fit_irf_requires_positive_start():
     data = kin.synthetic_dataset(kin.SequentialModel((5.0,)), _three_band_eas(w, 1), t, w)
     with pytest.raises(ValueError):
         kin.global_fit(data, kin.SequentialModel((5.0,)), fit_irf=True)
+
+
+def _t0_map(irf):
+    t = np.linspace(-5.0, 60.0, 400)
+    w = np.linspace(450, 650, 40)
+    truth = kin.SequentialModel((2.0, 15.0), irf_fwhm=irf, t0=1.33)
+    return kin.synthetic_dataset(truth, _three_band_eas(w, 2), t, w, noise_fraction=0.01, seed=6)
+
+
+def test_fit_t0_requires_positive_irf():
+    # Without an IRF a sample's concentration jumps as t0 crosses it, so the
+    # cost is discontinuous in t0.
+    with pytest.raises(ValueError, match="fit_t0"):
+        kin.global_fit(_t0_map(0.0), kin.SequentialModel((3.0, 10.0)), fit_t0=True)
+
+
+@pytest.mark.parametrize("fit_t0, fit_irf", [(False, False), (True, False), (True, True)],
+                         ids=["lifetimes", "t0", "t0-irf"])
+def test_projected_cost_gradient(fit_t0, fit_irf):
+    data = _t0_map(0.8)
+    start = kin.SequentialModel((3.0, 10.0), irf_fwhm=0.5, t0=0.4)
+    x0, _, cost = kin._projected_cost(data, start, fit_t0, fit_irf)
+    f, grad = cost(x0)
+    assert math.isfinite(f) and np.abs(grad).min() > 1e-3
+    numeric = np.empty_like(grad)
+    for j in range(len(x0)):
+        step = np.zeros_like(x0)
+        step[j] = 1e-5
+        numeric[j] = (cost(x0 + step)[0] - cost(x0 - step)[0]) / 2e-5
+    assert_allclose(grad, numeric, rtol=1e-5)
+
+
+def test_overflowing_lifetime_costs_inf_quietly():
+    data = _t0_map(0.8)
+    _, _, cost = kin._projected_cost(data, kin.SequentialModel((3.0, 10.0)), False, False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, grad = cost(np.array([400.0, 1.0]))
+        assert f == np.inf and np.all(grad == 0)
+        # this start sends a line search past log10(tau) = 308
+        result = kin.global_fit(data, kin.SequentialModel((2.0, 2.0001)))
+    assert result.converged
+
+
+def test_lifetimes_reported_ascending():
+    # The chain's cost does not change when two lifetimes swap; the report
+    # must not depend on which of the two orders the optimizer ends in.
+    t = np.geomspace(0.01, 300.0, 150)
+    w = np.linspace(400, 600, 30)
+    eas_true = _three_band_eas(w, 2)
+    data = kin.synthetic_dataset(
+        kin.SequentialModel((2.0, 40.0)), eas_true, t, w, noise_fraction=0.02, seed=3
+    )
+    reports = []
+    for start in ((5.0, 5.5), (40.0, 2.0)):
+        result = kin.global_fit(data, kin.SequentialModel(start))
+        assert result.model.lifetimes == tuple(sorted(result.model.lifetimes))
+        assert_allclose(result.model.lifetimes, (2.0, 40.0), rtol=0.01)
+        resid = data.delta_a - kin.concentrations(result.model, t) @ result.eas
+        assert_allclose(np.linalg.norm(resid), result.residual_norm, rtol=1e-12)
+        for k in range(2):
+            assert np.corrcoef(result.eas[k], eas_true[k])[0, 1] > 0.99
+        report = kin.kinetic_report(result).splitlines()
+        reports.append([line for line in report if not line.startswith("n_evaluations")])
+    assert reports[0] == reports[1]
 
 
 def test_synthetic_dataset_deterministic_noise():
