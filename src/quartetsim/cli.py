@@ -176,7 +176,6 @@ def _cmd_fit_trepr(args) -> int:
         start_params=start.params,
         start_nuclear=start.nuclear,
         free=fit_sec["free"],
-        coefficient_bounds=configio._coefficient_bounds(fit_sec),
         settings=_fit_settings(cfg),
     ))
     model = _compute(lambda: fitting.FitModel.build(problem))

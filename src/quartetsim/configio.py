@@ -128,8 +128,6 @@ _FIT = _keys(
     Key("tolerance", "float", positive=True),
     Key("seed", "int"),
     Key("start_spread", "float", positive=True),
-    Key("bound_lo", "float"),
-    Key("bound_hi", "float"),
 )
 
 _KINETICS = _keys(
@@ -171,11 +169,6 @@ def _schemas(model: str) -> dict[str, dict[str, Key]]:
 def _fields_from(cls, section: dict, suffix: str = "") -> dict:
     """Keyword arguments of dataclass ``cls``: the keys of ``section`` named ``<field><suffix>``."""
     return {f.name: section[f.name + suffix] for f in fields(cls) if f.name + suffix in section}
-
-
-def _coefficient_bounds(fit: dict) -> tuple[float, float]:
-    lo, hi = fitting.FitProblem.coefficient_bounds  # the dataclass default
-    return fit.get("bound_lo", lo), fit.get("bound_hi", hi)
 
 
 def _parse_value(section: str, key: Key, raw: str, errors: list[str]):
@@ -378,9 +371,6 @@ def _cross_checks(model: str, sections: dict, errors: list[str]) -> None:
 
     fit_sec = sections.get("fit")
     if fit_sec:
-        lo, hi = _coefficient_bounds(fit_sec)
-        if not lo < hi:
-            errors.append("[fit] bound_lo/bound_hi: need lo < hi")
         if "weights" in fit_sec:
             if "schemes" not in fit_sec:
                 errors.append("[fit] weights: requires schemes")

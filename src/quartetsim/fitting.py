@@ -6,11 +6,13 @@ parameters (a, r), shared nuclear populations, and an independent intensity
 scale per dataset.  Spectra are linear in the population coefficients, so
 each dataset is reduced once to a basis-spectrum tensor and the objective
 evaluates as a tensor contraction; the per-dataset scales then have a
-closed-form optimum for any coefficients and populations.  Each start of a
-deterministic multi-start schedule runs a bounded trust-region least-squares
-solve (trust-region reflective; Branch, Coleman & Li, SIAM J. Sci. Comput. 21,
-1 (1999)) over the coefficients, population logits and scales, with the exact
-Jacobian of the model, which is linear in each of them.
+closed-form optimum for any coefficients and populations.  The fit is a
+variable projection (Golub & Pereyra, Inverse Problems 19, R1 (2003)): the
+free coefficients are a linear least-squares solve for given populations and
+scales, and each start of a deterministic multi-start schedule runs a
+trust-region least-squares solve (trust-region reflective; Branch, Coleman &
+Li, SIAM J. Sci. Comput. 21, 1 (1999)) over the population logits and scales
+only, with Kaufman's Jacobian (BIT 15, 49 (1975)) of the projected residual.
 """
 
 from __future__ import annotations
@@ -75,7 +77,6 @@ class FitProblem:
     start_params: pol.QuartetPolarizationParams
     start_nuclear: pol.NuclearPopulations
     free: tuple[str, ...]
-    coefficient_bounds: tuple[float, float] = (-1.0, 1.0)
     settings: FitSettings = field(default_factory=FitSettings)
 
     def __post_init__(self):
@@ -86,9 +87,6 @@ class FitProblem:
         unknown = [n for n in self.free if n not in FREE_NAMES]
         if unknown:
             raise ValueError(f"unknown free parameter names: {unknown}")
-        lo, hi = self.coefficient_bounds
-        if not lo < hi:
-            raise ValueError("invalid coefficient bounds")
 
     @property
     def free_coefficients(self) -> tuple[str, ...]:
@@ -270,95 +268,92 @@ def _population_stderr(jac: np.ndarray, cost: float, p: np.ndarray, n_coeff: int
 
 
 def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitResult:
-    """Minimize the joint residual over the free parameters.
+    """Minimize the joint residual over the free parameters by variable projection.
 
-    Free coefficients vary directly; nuclear populations, when free, vary as
-    softmax logits so every iterate stays on the probability simplex.  Each
-    dataset's scale is an unbounded solver parameter that starts at its
-    closed-form optimum; the reported scales are the closed-form optima at the
-    solution, and the reported cost is the sum of squared residuals at them.
-    ``start_costs`` are the solver's own final costs, which the reported cost
-    never exceeds.  When every nonzero coefficient is free the scale/coefficient
-    product is gauge degenerate; the result is normalized so the geometric
-    mean of |scale| is one.  ``model``, when given, must have been built from
-    ``problem``.
+    The residual is linear in the coefficients, so no solver searches them:
+    for given populations and dataset scales the free coefficients are the
+    linear least-squares solution.  The solver runs over the rest only: the
+    nuclear populations, when free, as softmax logits so every iterate stays
+    on the probability simplex, and one unbounded scale per dataset, which
+    starts at its closed-form optimum.  The reported scales are the
+    closed-form optima at the solution, and the reported cost is the sum of
+    squared residuals at them.  ``start_costs`` are the solver's own final
+    costs, which the reported cost never exceeds.  When every nonzero
+    coefficient is free the scale/coefficient product is gauge degenerate;
+    the result is normalized so the geometric mean of |scale| is one.
+    ``model``, when given, must have been built from ``problem``.
     """
     model = model or FitModel.build(problem)
     free_coeffs = problem.free_coefficients
     coeff_idx = [PARAM_NAMES.index(n) for n in free_coeffs]
     c_full = _coefficient_vector(problem.start_params)
-    p_start = problem.start_nuclear.as_array()
     fits_nuclear = problem.fits_nuclear
-
-    x0 = list(c_full[coeff_idx])
-    lo, hi = problem.coefficient_bounds
-    bounds = [(lo, hi)] * len(coeff_idx)
-    if fits_nuclear:
-        x0.extend(_start_logits(problem.start_nuclear))
-        bounds.extend([(-_LOGIT_BOUND, _LOGIT_BOUND)] * 8)
-    lower = [b[0] for b in bounds]
-    upper = [b[1] for b in bounds]
-    # A start outside the box (a coefficient beyond the bounds, or a population
-    # below ~1e-6 whose logit falls under -_LOGIT_BOUND) begins at its clip.
-    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
     n_coeff = len(coeff_idx)
-    n_shape = len(x0)  # coefficients and logits; the solver appends one scale per dataset
+    n_logits = 8 if fits_nuclear else 0
+    n_scales = len(model.tensors)
 
-    def unpack(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        c = c_full.copy()
-        c[coeff_idx] = x[:n_coeff]
-        p = _softmax(x[n_coeff:n_shape]) if fits_nuclear else p_start
-        return c, p
+    def populations(logits: np.ndarray) -> np.ndarray:
+        return _softmax(logits) if fits_nuclear else problem.start_nuclear.as_array()
+
+    # The solver asks for the Jacobian at the point it last evaluated, so the
+    # last projection is kept.
+    solved: dict[bytes, tuple] = {}
+
+    def project(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Coefficients solved for the logits and scales in x, their columns, and the residual."""
+        key = x.tobytes()
+        if key not in solved:
+            p = populations(x[:n_logits])
+            scales = x[n_logits:]
+            c = c_full.copy()
+            c[coeff_idx] = 0.0
+            # The residual is affine in the free coefficients; their Jacobian
+            # columns do not depend on the coefficients.
+            r0 = np.concatenate([r for _, _, r in model.terms(c, p, scales)])
+            cols = model.jacobian(c, p, scales, coeff_idx, False)[:, :n_coeff]
+            c[coeff_idx] = np.linalg.lstsq(cols, -r0, rcond=None)[0]
+            solved.clear()
+            solved[key] = c, p, scales, cols, r0 + cols @ c[coeff_idx]
+        return solved[key]
 
     n_evals = 0
-
-    def objective(x: np.ndarray) -> float:
-        nonlocal n_evals
-        n_evals += 1
-        cost = 0.0
-        for _, _, r in model.terms(*unpack(x)):
-            cost += float(r @ r)
-        return cost
 
     def residuals(x: np.ndarray) -> np.ndarray:
         nonlocal n_evals
         n_evals += 1
-        return np.concatenate([r for _, _, r in model.terms(*unpack(x), x[n_shape:])])
+        return project(x)[4]
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        return model.jacobian(*unpack(x), x[n_shape:], coeff_idx, fits_nuclear)
+        # Kaufman's Jacobian: the logit and scale columns at the solved
+        # coefficients, projected off the coefficient columns.
+        c, p, scales, cols, _ = project(x)
+        rest = model.jacobian(c, p, scales, coeff_idx, fits_nuclear)[:, n_coeff:]
+        q = np.linalg.qr(cols)[0]
+        return rest - q @ (q.T @ rest)
 
+    # A population below ~1e-6, whose logit falls under -_LOGIT_BOUND, starts
+    # at its clip into the box.
+    logits0 = np.empty(0)
+    if fits_nuclear:
+        logits0 = np.clip(_start_logits(problem.start_nuclear), -_LOGIT_BOUND, _LOGIT_BOUND)
+    scales0 = np.array([s for s, _, _ in model.terms(c_full, populations(logits0))])
     rng = np.random.default_rng(problem.settings.seed)
-    starts = [x0]
-    span = np.array([b[1] - b[0] for b in bounds])
+    starts = [np.concatenate([logits0, scales0])]
     for _ in range(problem.settings.n_starts - 1):
-        trial = x0 + problem.settings.start_spread * span * rng.standard_normal(len(x0))
-        starts.append(np.clip(trial, lower, upper))
+        z = problem.settings.start_spread * rng.standard_normal(n_logits + n_scales)
+        logits = np.clip(logits0 + 2.0 * _LOGIT_BOUND * z[:n_logits], -_LOGIT_BOUND, _LOGIT_BOUND)
+        starts.append(np.concatenate([logits, scales0 * np.exp(z[n_logits:])]))
 
-    # The objective is sharply peaked around the solution and nearly flat far
-    # from it (the closed-form scale saturates the residual), so a start on
-    # the plateau can drift to a bound.  A deterministic coordinate scan over
-    # each free coefficient plants one extra start inside the basin.
-    if n_coeff:
-        scan = x0.copy()
-        grid = np.linspace(lo, hi, 41)
-        for pos in range(n_coeff):
-            trials = np.repeat(scan[None, :], len(grid), axis=0)
-            trials[:, pos] = grid
-            scan[pos] = grid[int(np.argmin([objective(t) for t in trials]))]
-        starts.insert(1, scan)
-
-    n_scales = len(model.tensors)
     tol = max(problem.settings.tolerance, np.finfo(float).eps)
-
+    box = np.full(n_logits + n_scales, np.inf)
+    box[:n_logits] = _LOGIT_BOUND
     solves = []
     for x_start in starts:
-        scales0 = [s for s, _, _ in model.terms(*unpack(x_start))]
         res = least_squares(
             residuals,
-            np.concatenate([x_start, scales0]),
+            x_start,
             jac=jacobian,
-            bounds=(lower + [-np.inf] * n_scales, upper + [np.inf] * n_scales),
+            bounds=(-box, box),
             method="trf",
             max_nfev=problem.settings.max_iterations,
             xtol=tol,
@@ -371,7 +366,7 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
     # The reported cost, scales and standard errors are taken at the closed-form
     # scales, so residual(problem, params, nuclear, scales) reproduces the cost
     # also when the best start stopped on max_iterations.
-    c_best, p_best = unpack(best.x)
+    c_best, p_best = project(best.x)[:2]
     terms = model.terms(c_best, p_best)
     scales = [s for s, _, _ in terms]
     best_cost = float(sum(r @ r for _, _, r in terms))

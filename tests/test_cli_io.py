@@ -428,8 +428,10 @@ def test_cli_simulate_rejects_single_angle_out_of_range(tmp_path, capsys):
      "[kinetics] fit_t0: needs a positive irf_fwhm_ps"),
     ("fit-trepr", "[fit]\nfree = a2\nseed = -1", "[fit] seed: must be >= 0"),
     ("fit-ta", "[kinetics]\nlifetimes_ps = 3.0 100.0\nseed = -1", "[kinetics] seed: must be >= 0"),
+    ("fit-trepr", "[fit]\nfree = a2\nbound_lo = -2", "[fit] bound_lo: unknown key"),
 ], ids=["fit-max_iterations", "fit-n_starts", "kinetics-max_iterations", "kinetics-n_starts",
-        "fit_irf-no-irf", "fit_irf-zero-irf", "fit_t0-no-irf", "fit-seed", "kinetics-seed"])
+        "fit_irf-no-irf", "fit_irf-zero-irf", "fit_t0-no-irf", "fit-seed", "kinetics-seed",
+        "fit-bound_lo"])
 def test_solver_settings_checked_at_parse_time(tmp_path, capsys, command, block, line):
     # A second, unrelated violation must be reported in the same run.
     text = _dimer_cfg(tmp_path, SINGLE_SCHEME, extra="plot_script = maybe") + "\n" + block + "\n"
@@ -504,8 +506,6 @@ def test_every_optional_key_reaches_its_object(tmp_path, monkeypatch, capsys):
         ("fit", "tolerance"): ("1e-07", 1e-7),
         ("fit", "seed"): ("5", 5),
         ("fit", "start_spread"): ("0.2", 0.2),
-        ("fit", "bound_lo"): ("-2.0", -2.0),
-        ("fit", "bound_hi"): ("3.0", 3.0),
         ("kinetics", "irf_fwhm_ps"): ("0.4", 0.4),
         ("kinetics", "t0_ps"): ("1.5", 1.5),
         ("kinetics", "fit_t0"): ("true", True),
@@ -567,7 +567,6 @@ def test_every_optional_key_reaches_its_object(tmp_path, monkeypatch, capsys):
 
     problem = captured["problem"]
     arrived.update({("fit", k): v for k, v in dataclasses.asdict(problem.settings).items()})
-    arrived[("fit", "bound_lo")], arrived[("fit", "bound_hi")] = problem.coefficient_bounds
     arrived[("fit", "schemes")] = tuple(ds.scheme for ds in problem.datasets)
     arrived[("fit", "weights")] = tuple(ds.weight for ds in problem.datasets)
     model, kwargs = captured["kinetics"]
@@ -607,8 +606,7 @@ def test_readme_defaults_build_the_default_objects(tmp_path, monkeypatch, capsys
     built = {}
 
     def capture_problem(problem):
-        built["fit"] = (problem.settings, problem.coefficient_bounds,
-                        tuple((ds.scheme, ds.weight) for ds in problem.datasets))
+        built["fit"] = (problem.settings, tuple((ds.scheme, ds.weight) for ds in problem.datasets))
         raise _Captured
 
     def capture_kinetic_fit(*args, **kwargs):
@@ -720,7 +718,7 @@ def test_cli_fit_trepr_builds_each_basis_once(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_fit_trepr_nonconvergence_exit_code(tmp_path, capsys):
-    argv = _shared_scheme_fit(tmp_path, "n_starts = 1\nmax_iterations = 2\n")
+    argv = _shared_scheme_fit(tmp_path, "n_starts = 2\nmax_iterations = 2\n")
     rc = cli.entry(argv)
     captured = capsys.readouterr()
     assert rc == 4

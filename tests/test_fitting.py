@@ -195,7 +195,7 @@ def test_three_geometry_noisy_round_trip(system):
         start_params=start, start_nuclear=pol.NuclearPopulations.uniform(),
         n_starts=2, max_iterations=8000,
     )
-    result = fit.fit_simultaneous(problem)
+    result = fit.fit_simultaneous(problem, _crystal_model(bases, datasets))
     truth = np.array([*TABLE_PARAMS.a, TABLE_PARAMS.r[1]])
     got = np.array([*result.params.a, result.params.r[1]])
     assert (np.abs(got - truth) <= 0.15 * np.abs(truth)).all()
@@ -207,22 +207,28 @@ def test_three_geometry_noisy_round_trip(system):
 def test_every_start_reaches_the_minimum(system, crystal_bases):
     # With scipy's default start simplex (steps of 0.00025 along the all-zero
     # logits of uniform populations) the config start stalled in a local
-    # minimum here, at cost 1.0 against 0.15.
+    # minimum here, at cost 1.0 against 0.15.  With all six coefficients free
+    # and rho_n fixed, a search over bounded coefficients left one of three
+    # starts at cost 1.2429 against 1.1525.
     datasets = _datasets(crystal_bases, ORIENTATIONS, noise=0.01, seed=0)
+    model = _crystal_model(crystal_bases, datasets)
     start = pol.QuartetPolarizationParams(a=(0.2, -0.05, -0.1), r=(0.0, -0.05, 0.0))
-    problem = _problem(
-        system, datasets, ("a1", "a2", "a3", "r2", "rho_n"),
-        start_params=start, start_nuclear=pol.NuclearPopulations.uniform(), n_starts=1,
-    )
-    result = fit.fit_simultaneous(problem)
-    assert len(result.start_costs) == 2  # config start and coordinate-scan start
-    assert max(result.start_costs) <= 1.001 * min(result.start_costs)
-    assert np.abs(result.nuclear.as_array() - TABLE_NUCLEAR.as_array()).max() < 0.01
+    for free in (("a1", "a2", "a3", "r2", "rho_n"), fit.PARAM_NAMES):
+        problem = _problem(
+            system, datasets, free,
+            start_params=start, start_nuclear=pol.NuclearPopulations.uniform(), n_starts=2,
+        )
+        result = fit.fit_simultaneous(problem, model)
+        assert len(result.start_costs) == 2
+        assert max(result.start_costs) <= 1.001 * min(result.start_costs)
+        if problem.fits_nuclear:
+            assert np.abs(result.nuclear.as_array() - TABLE_NUCLEAR.as_array()).max() < 0.01
 
 
 def test_start_outside_bounds_is_clipped(system, crystal_bases):
-    # A one-hot start puts seven logits far below -_LOGIT_BOUND, and a2 = 1.5
-    # lies beyond the coefficient bounds; the fit starts from the clipped point.
+    # A one-hot start puts seven logits far below -_LOGIT_BOUND; the fit starts
+    # from the clipped logits.  a2 = 1.5 is far from the truth and only sets
+    # the starting scales, since the coefficients are solved linearly.
     datasets = _datasets(crystal_bases, ORIENTATIONS)
     start = pol.QuartetPolarizationParams(a=(0.11, 1.5, -0.027), r=TABLE_PARAMS.r)
     one_hot = pol.NuclearPopulations((1.0,) + (0.0,) * 7)
@@ -233,6 +239,22 @@ def test_start_outside_bounds_is_clipped(system, crystal_bases):
     assert result.converged
     assert abs(result.params.a[1] - TABLE_PARAMS.a[1]) < 1e-3
     assert np.abs(result.nuclear.as_array() - TABLE_NUCLEAR.as_array()).max() < 1e-3
+
+
+def test_populations_only_fit_recovers_exact_data(system, crystal_bases):
+    # With no free coefficient the linear solve has no columns, and the
+    # solver runs over the logits and scales alone.  TABLE_NUCLEAR sums to
+    # 1.001; the fit finds it normalized, with the factor in the scales.
+    datasets = _datasets(crystal_bases, ORIENTATIONS)
+    problem = _problem(
+        system, datasets, ("rho_n",), start_nuclear=pol.NuclearPopulations.uniform(), n_starts=1,
+    )
+    result = fit.fit_simultaneous(problem, _crystal_model(crystal_bases, datasets))
+    assert result.converged
+    assert result.params == TABLE_PARAMS
+    truth = TABLE_NUCLEAR.as_array()
+    assert_allclose(result.nuclear.as_array(), truth / truth.sum(), atol=1e-6)
+    assert result.residual_norm < 1e-6
 
 
 def test_fit_deterministic(system, crystal_bases):
@@ -250,7 +272,7 @@ def test_fit_deterministic(system, crystal_bases):
 def test_converged_follows_lowest_cost_start(system, crystal_bases):
     datasets = _datasets(crystal_bases[:1], ORIENTATIONS[:1], noise=0.01, seed=11)
     start = pol.QuartetPolarizationParams(a=(0.11, 0.3, -0.027), r=TABLE_PARAMS.r)
-    problem = _problem(system, datasets, ("a2",), start_params=start, n_starts=2, max_iterations=3)
+    problem = _problem(system, datasets, ("a2",), start_params=start, n_starts=3, max_iterations=3)
     result = fit.fit_simultaneous(problem)
     assert len(result.start_converged) == len(result.start_costs) == 3
     assert result.converged is False
@@ -317,9 +339,7 @@ def test_mirrored_solution_reports_positive_zeros(system, crystal_bases, monkeyp
     # (c, s) and (-c, -s) fit equally well; the gauge fixing flips the sign
     # back, and the fixed zero coefficients r1 and r3 must not print as -0.
     def mirrored_least_squares(fun, x0, **kwargs):
-        x = x0.copy()
-        x[:4] = -np.array([*TABLE_PARAMS.a, TABLE_PARAMS.r[1]])
-        return SimpleNamespace(x=x, cost=0.0, status=1, message="scripted")
+        return SimpleNamespace(x=-x0, cost=0.0, status=1, message="scripted")
 
     monkeypatch.setattr(fit, "least_squares", mirrored_least_squares)
     datasets = _datasets(crystal_bases, ORIENTATIONS)
