@@ -20,8 +20,13 @@ emission.  With thermal populations every stick amplitude is non-negative.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field, fields
+from functools import cache
 
 import numpy as np
 
@@ -319,6 +324,17 @@ _MAX_HALVINGS = 8
 # A bracket whose cubic-Hermite and secant roots lie farther apart than the
 # field accuracy the search aims for is polished at its root.
 _POLISH_FIELD_MT = 1e-4
+# Block sizes of the search and of the lineshape convolution: matrices per
+# grid eigvalsh call, level pairs per detuning block, brackets per resolved
+# block and sticks per kernel block.  They keep one orientation's
+# temporaries at a few MB (on the bundled dimer's powder, a traced peak of
+# 3 MB against 15 MB unblocked): every thread of orientation_average holds
+# one orientation's, and glibc keeps large freed temporaries in the arena
+# of the thread that freed them.
+_GRID_BLOCK = 16
+_PAIR_BLOCK = 128
+_BRACKET_BLOCK = 64
+_STICK_BLOCK = 64
 
 
 def _search_grid(sweep: FieldSweepConfig) -> np.ndarray:
@@ -345,6 +361,19 @@ def _double_crossing_risk(bgrid: np.ndarray, f: np.ndarray) -> np.ndarray:
     nearest = np.minimum(np.abs(f[:-1]), np.abs(f[1:]))
     risky = (f[:-1] * f[1:] > 0) & (nearest < _SAG_SAFETY * bend * (h**2 / 8.0)[:, None])
     return risky.any(axis=1)
+
+
+def _detuning_blocks(evals: np.ndarray, iu: np.ndarray, ju: np.ndarray, nu_mw: float):
+    """``(s, f)`` per block of ``_PAIR_BLOCK`` level pairs from pair ``s`` on.
+
+    ``f[k, q]`` is the transition frequency of pair ``(iu, ju)[s + q]``
+    minus ``nu_mw`` at grid point ``k``.
+    """
+    for s in range(0, len(iu), _PAIR_BLOCK):
+        f = evals[:, ju[s : s + _PAIR_BLOCK]]
+        f -= evals[:, iu[s : s + _PAIR_BLOCK]]
+        f -= nu_mw
+        yield s, f
 
 
 def _hermite(t, y0, y1, m0, m1, derivative=False):
@@ -385,7 +414,9 @@ def _level_derivatives(h1, evals, evecs, node, level):
     over the m outside l's degenerate set (where h1 cannot couple them), and
     dE_l/dB = <l|h1|l> (Hellmann-Feynman).  The distinct levels of each node
     form the columns of one padded block, so the work scales with the levels
-    used, not with all of them.
+    used, not with all of them.  The degeneracy tolerance is relative to each
+    node's own spectrum, so a level's result does not depend on the other
+    nodes in the batch.
     """
     dim = evecs.shape[1]
     keys, inverse = np.unique(node * dim + level, return_inverse=True)
@@ -396,7 +427,7 @@ def _level_derivatives(h1, evals, evecs, node, level):
     vl = np.take_along_axis(evecs, cols[:, None, :], axis=2)
     g = np.matmul(evecs.conj().transpose(0, 2, 1), np.matmul(h1, vl))
     gap = np.take_along_axis(evals, cols, axis=1)[:, None, :] - evals[:, :, None]
-    tol = 1e-9 * (np.abs(evals).max() + 1.0)
+    tol = 1e-9 * (np.abs(evals).max(axis=1) + 1.0)[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         dvl = np.matmul(evecs, np.where(np.abs(gap) > tol, g / gap, 0.0))
     c = col[inverse]
@@ -433,9 +464,25 @@ def _moment(ops, u, w, du, dw) -> tuple[np.ndarray, np.ndarray]:
     return value, deriv
 
 
-def _track(u: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """Index of the column of each ``evecs[n]`` with the largest overlap with ``u[n]``."""
-    return np.abs(np.einsum("nd,ndk->nk", u.conj(), evecs)).argmax(axis=1)
+def _track(u: np.ndarray, evecs: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """Index of the column of ``evecs[node[n]]`` with the largest overlap with ``u[n]``.
+
+    Rows are grouped by node, so no per-row copy of the eigenvector matrices
+    is made.
+    """
+    best = np.empty(len(u), dtype=int)
+    for m in np.unique(node):
+        rows = np.flatnonzero(node == m)
+        best[rows] = np.abs(u[rows].conj() @ evecs[m]).argmax(axis=1)
+    return best
+
+
+def _grid_eigenvalues(h0: np.ndarray, h1: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``h0 + B h1`` at every field, ``_GRID_BLOCK`` matrices at a time."""
+    return np.concatenate([
+        np.linalg.eigvalsh(h0 + fields[s : s + _GRID_BLOCK, None, None] * h1)
+        for s in range(0, len(fields), _GRID_BLOCK)
+    ])
 
 
 def find_resonances(
@@ -467,6 +514,10 @@ def find_resonances(
     instead: one diagonalization at the root, a Newton step, and moment,
     populations, slope and labels from the root's own eigenvectors.
 
+    The grid is diagonalized ``_GRID_BLOCK`` matrices at a time and the
+    brackets are resolved ``_BRACKET_BLOCK`` at a time, so the temporaries
+    stay the same size however many resonances an orientation has.
+
     ``Stick.lower``/``upper`` are sorted level indices at the stick's
     field; ``electron_m``/``nuclear_m`` stay unset (:func:`stick_spectrum`
     fills them).  Transitions flatter than the slope floor are discarded;
@@ -477,26 +528,67 @@ def find_resonances(
     iu, ju = np.triu_indices(dim, 1)
     diag = SearchDiagnostics()
 
-    def hamiltonians(fields: np.ndarray) -> np.ndarray:
-        return h0[None, :, :] + fields[:, None, None] * h1[None, :, :]
-
     bgrid = _search_grid(sweep)
-    evals_grid = np.linalg.eigvalsh(hamiltonians(bgrid))
+    evals_grid = _grid_eigenvalues(h0, h1, bgrid)
     for _ in range(_MAX_HALVINGS):
-        risky = _double_crossing_risk(bgrid, evals_grid[:, ju] - evals_grid[:, iu] - nu_mw)
+        risky = np.zeros(len(bgrid) - 1, dtype=bool)
+        for _, f in _detuning_blocks(evals_grid, iu, ju, nu_mw):
+            risky |= _double_crossing_risk(bgrid, f)
         if not risky.any():
             break
         diag.n_subdivided += int(risky.sum())
         mids = 0.5 * (bgrid[:-1][risky] + bgrid[1:][risky])
         order = np.argsort(np.concatenate([bgrid, mids]), kind="stable")
         bgrid = np.concatenate([bgrid, mids])[order]
-        evals_grid = np.concatenate([evals_grid, np.linalg.eigvalsh(hamiltonians(mids))])[order]
+        evals_grid = np.concatenate([evals_grid, _grid_eigenvalues(h0, h1, mids)])[order]
 
-    f_grid = evals_grid[:, ju] - evals_grid[:, iu] - nu_mw
-    bracket = (f_grid[:-1] * f_grid[1:] < 0) | ((f_grid[:-1] == 0) & (f_grid[1:] != 0))
-    hit_k, hit_p = np.nonzero(bracket)
-    if len(hit_k) == 0:
+    # A sign change of the detuning brackets a resonance; brackets go in
+    # (grid point, level pair) order.
+    hit_k, hit_p = [], []
+    for s, f in _detuning_blocks(evals_grid, iu, ju, nu_mw):
+        k, p = np.nonzero((f[:-1] * f[1:] < 0) | ((f[:-1] == 0) & (f[1:] != 0)))
+        hit_k.append(k)
+        hit_p.append(p + s)
+    hit_k, hit_p = np.concatenate(hit_k), np.concatenate(hit_p)
+    order = np.lexsort((hit_p, hit_k))
+    hit_k, hit_p = hit_k[order], hit_p[order]
+    blocks = [
+        _resolve_brackets(
+            h0, h1, sweep, channels, transverse_ops, bgrid, hit_k[b], iu[hit_p[b]], ju[hit_p[b]], diag
+        )
+        for b in (slice(s, s + _BRACKET_BLOCK) for s in range(0, len(hit_k), _BRACKET_BLOCK))
+    ]
+    if not sum(len(b[0]) for b in blocks):
         return [], diag
+    b_res, slope, li, lj, amps = (np.concatenate(a) for a in zip(*blocks))
+
+    order = np.argsort(b_res, kind="stable")
+    sticks = [
+        Stick(
+            field_mt=float(b_res[n]),
+            amplitudes=amps[n],
+            lower=int(li[n]),
+            upper=int(lj[n]),
+            slope_mhz_per_mt=float(slope[n]),
+        )
+        for n in order
+    ]
+    diag.n_sticks = len(sticks)
+    return sticks, diag
+
+
+def _resolve_brackets(h0, h1, sweep, channels, transverse_ops, bgrid, hit_k, li, lj, diag):
+    """Sticks of the brackets between ``bgrid[hit_k]`` and ``bgrid[hit_k + 1]``.
+
+    ``li``/``lj`` are the sorted level pairs whose transition frequency
+    changes sign there.  Returns field, slope, lower and upper labels and
+    amplitudes ``(n, n_channels)`` of the brackets that give a stick, in
+    bracket order, and adds this block's counts to ``diag``.
+    """
+    nu_mw = sweep.mw_frequency_mhz()
+
+    def hamiltonians(fields: np.ndarray) -> np.ndarray:
+        return h0[None, :, :] + fields[:, None, None] * h1[None, :, :]
 
     # Eigenvectors only where a bracket needs them.  k and k+1 are adjacent
     # integers, so their positions in the sorted unique array are adjacent too.
@@ -504,12 +596,11 @@ def find_resonances(
     evals, evecs = np.linalg.eigh(hamiltonians(bgrid[needed]))
     k0 = np.searchsorted(needed, hit_k)
     k1 = k0 + 1
-    li = iu[hit_p]
-    lj = ju[hit_p]
 
     # Follow both levels into the next grid point by largest overlap.
-    i2 = _track(evecs[k0, :, li], evecs[k1])
-    j2 = _track(evecs[k0, :, lj], evecs[k1])
+    i2, j2 = np.split(
+        _track(np.concatenate([evecs[k0, :, li], evecs[k0, :, lj]]), evecs, np.concatenate([k1, k1])), 2
+    )
     tie = i2 == j2
     i2[tie] = li[tie]
     j2[tie] = lj[tie]
@@ -520,8 +611,8 @@ def find_resonances(
     i2[untracked] = li[untracked]
     j2[untracked] = lj[untracked]
     f1 = np.where(untracked, evals[k1, lj] - evals[k1, li] - nu_mw, f1)
-    diag.n_tie_fallback = int(tie.sum())
-    diag.n_untracked_fallback = int(untracked.sum())
+    diag.n_tie_fallback += int(tie.sum())
+    diag.n_untracked_fallback += int(untracked.sum())
 
     # The four tracked levels of every bracket: lower and upper at each end.
     nodes = np.concatenate([k0, k0, k1, k1])
@@ -559,12 +650,18 @@ def find_resonances(
         b_root = b_res[n]
         e_r, v_r = np.linalg.eigh(hamiltonians(b_root))
         early = (t[n] < 0.5)[:, None]
-        ir = _track(np.where(early, v[0][n], v[2][n]), v_r)
-        jr = _track(np.where(early, v[1][n], v[3][n]), v_r)
+        rows = np.arange(len(n))
+        ir, jr = np.split(
+            _track(
+                np.concatenate([np.where(early, v[0][n], v[2][n]), np.where(early, v[1][n], v[3][n])]),
+                v_r,
+                np.concatenate([rows, rows]),
+            ),
+            2,
+        )
         same = ir == jr
         ir[same], jr[same] = li[n][same], lj[n][same]
         ir, jr = np.minimum(ir, jr), np.maximum(ir, jr)
-        rows = np.arange(len(n))
         root_nodes, root_levels = np.concatenate([rows, rows]), np.concatenate([ir, jr])
         vr, dvr, sr = _level_derivatives(h1, e_r, v_r, root_nodes, root_levels)
         pr, _ = _populations(channels, h1, e_r, v_r, root_nodes, root_levels, vr, dvr)
@@ -584,13 +681,11 @@ def find_resonances(
 
     slope_floor = sweep.slope_floor_ghz_per_mt * 1e3
     flat = valid & (np.abs(slope) < slope_floor)
-    diag.n_discarded_slope = int(flat.sum())
+    diag.n_discarded_slope += int(flat.sum())
     # Strictly forbidden level pairs bracket the microwave frequency too;
     # they carry no intensity in any channel, so drop them here.
     keep = valid & ~flat & ((1 - t) * ends[0][0] + t * ends[0][1] > 0.0)
-    if not keep.any():
-        return [], diag
-    diag.n_polished = int((polish & keep).sum())
+    diag.n_polished += int((polish & keep).sum())
 
     t, slope, b_res, li, lj = (a[keep] for a in (t, slope, b_res, li, lj))
     tc = t[:, None]
@@ -598,20 +693,7 @@ def find_resonances(
     p_low = _hermite(tc, *(a[keep] for a in ends[1]))
     p_up = _hermite(tc, *(a[keep] for a in ends[2]))
     amps = moment[:, None] * (p_low - p_up) / (np.abs(slope)[:, None] / 1e3)
-
-    order = np.argsort(b_res, kind="stable")
-    sticks = [
-        Stick(
-            field_mt=float(b_res[n]),
-            amplitudes=amps[n],
-            lower=int(li[n]),
-            upper=int(lj[n]),
-            slope_mhz_per_mt=float(slope[n]),
-        )
-        for n in order
-    ]
-    diag.n_sticks = len(sticks)
-    return sticks, diag
+    return b_res, slope, li, lj, amps
 
 
 def _lineshape_kernel(offsets: np.ndarray, sweep: FieldSweepConfig) -> np.ndarray:
@@ -636,12 +718,16 @@ def convolve_lineshape(sticks: list[Stick], sweep: FieldSweepConfig) -> np.ndarr
         return np.zeros((1, len(axis)))
     centers = np.array([s.field_mt for s in sticks])
     amps = np.stack([s.amplitudes for s in sticks], axis=1)
-    kernel = _lineshape_kernel(axis[None, :] - centers[:, None], sweep)
     db = axis[1] - axis[0]
     inside = (centers >= sweep.field_start_mt) & (centers <= sweep.field_stop_mt)
-    areas = kernel.sum(axis=1) * db
-    norm = np.where(inside & (areas > 0), areas, 1.0)
-    return amps @ (kernel / norm[:, None])
+    total = np.zeros((len(amps), len(axis)))
+    for s in range(0, len(centers), _STICK_BLOCK):
+        block = slice(s, s + _STICK_BLOCK)
+        kernel = _lineshape_kernel(axis[None, :] - centers[block, None], sweep)
+        areas = kernel.sum(axis=1) * db
+        kernel /= np.where(inside[block] & (areas > 0), areas, 1.0)[:, None]
+        total += amps[:, block] @ kernel
+    return total
 
 
 @dataclass
@@ -687,6 +773,132 @@ def _transverse_ops(
     return sum(a[c] * spin_xyz[c] for c in range(3)), sum(b[c] * spin_xyz[c] for c in range(3))
 
 
+# Beside the calling thread, one helper thread per further CPU in the
+# affinity mask.  The pool starts its threads on first use and keeps them.
+_HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) - 1
+_HELPER_POOL = ThreadPoolExecutor(max(_HELPERS, 1), thread_name_prefix="orientation-average")
+
+
+@cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of the OpenBLAS this process loaded, or None."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({p for p in (line.split()[-1] for line in fh) if p.startswith("/") and "openblas" in p})
+    except OSError:  # no /proc: not Linux
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Context manager: OpenBLAS runs on one thread while any orientation average runs.
+
+    The orientation threads already use every CPU; OpenBLAS threads beside
+    them only compete for the same CPUs.  With OpenBLAS on two threads, a
+    64-orientation powder took 9.4 s on two orientation threads against
+    4.5 s with OpenBLAS on one (2 CPUs).  Nested and concurrent averages
+    share one count; the last to leave restores the thread count.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved = 0
+
+    def __enter__(self):
+        with self._lock:
+            calls = _openblas_threads()
+            if self._users == 0 and calls is not None:
+                self._saved = calls[0]()
+                calls[1](1)
+            self._users += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._users -= 1
+            calls = _openblas_threads()
+            if self._users == 0 and calls is not None:
+                calls[1](self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
+def _ordered_map(fn, items: list, consume) -> None:
+    """Call ``consume(i, fn(items[i]))`` for every i, in order.
+
+    ``fn`` runs on this thread and on up to ``_HELPERS`` threads of the
+    helper pool (never more threads than items); each takes the next item
+    not yet taken.  ``consume`` runs on this thread only, in item order, so
+    the result does not depend on the thread count.  At most two items per
+    thread are taken beyond the last one consumed, which bounds the results
+    held at once.  An exception from ``fn`` is raised here.
+    """
+    n = len(items)
+    helpers = max(0, min(_HELPERS, n - 1))
+    window = 2 * (helpers + 1)
+    cond = threading.Condition()
+    done: dict[int, tuple[bool, object]] = {}
+    taken = consumed = 0
+    stop = False
+
+    def take() -> int | None:
+        # Called with ``cond`` held.
+        nonlocal taken
+        if stop or taken >= min(n, consumed + window):
+            return None
+        taken += 1
+        return taken - 1
+
+    def helper() -> None:
+        while True:
+            with cond:
+                while (i := take()) is None:
+                    if stop or taken >= n:
+                        return
+                    cond.wait()
+            try:
+                result = (True, fn(items[i]))
+            except BaseException as exc:  # handed to the consuming thread, which raises it
+                result = (False, exc)
+            with cond:
+                done[i] = result
+                cond.notify_all()
+
+    futures = [_HELPER_POOL.submit(helper) for _ in range(helpers)]
+    try:
+        for i in range(n):
+            # Take and compute items until item i is done.
+            while True:
+                with cond:
+                    while i not in done and (j := take()) is None:
+                        cond.wait()
+                    if i in done:
+                        ok, result = done.pop(i)
+                        consumed = i + 1
+                        cond.notify_all()
+                        break
+                value = fn(items[j])
+                with cond:
+                    done[j] = (True, value)
+            if not ok:
+                raise result
+            consume(i, result)
+    finally:
+        with cond:
+            stop = True
+            cond.notify_all()
+        for future in futures:
+            if not future.cancel():
+                future.result()
+
+
 def orientation_average(
     parts,
     sweep: FieldSweepConfig,
@@ -702,16 +914,31 @@ def orientation_average(
     population channels for :func:`find_resonances`.  Each orientation
     gives an ``(n_channels, n_points)`` block, zero where nothing resonates,
     and the total is ``sum(weight * block)`` in orientation order.
+
+    Orientations are computed on every CPU the process may use (see
+    :func:`_ordered_map`), so ``parts`` must be safe to call from several
+    threads at once; blocks are summed in orientation order, so the result
+    does not depend on the CPU count.
     """
     total = np.zeros((n_channels, sweep.n_points))
     diags = SearchDiagnostics()
-    for orientation, weight in zip(orientations, weights):
+
+    def block(orientation: LabOrientation) -> tuple[np.ndarray | None, SearchDiagnostics]:
         h0, h1, spin_xyz, channels = parts(orientation)
         transverse = _transverse_ops(orientation, spin_xyz)
         sticks, diag = find_resonances(h0, h1, sweep, channels, transverse)
+        return (convolve_lineshape(sticks, sweep) if sticks else None), diag
+
+    def add(i: int, result: tuple[np.ndarray | None, SearchDiagnostics]) -> None:
+        nonlocal total
+        spectrum, diag = result
         diags.add(diag)
-        block = convolve_lineshape(sticks, sweep) if sticks else np.zeros_like(total)
-        total += weight * block
+        # Nothing resonates: adding weight * 0 would leave the total as it is.
+        if spectrum is not None:
+            total += weights[i] * spectrum
+
+    with _ONE_BLAS_THREAD:
+        _ordered_map(block, orientations, add)
     return total, diags
 
 

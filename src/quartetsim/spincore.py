@@ -367,6 +367,12 @@ def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.kron(np.kron(a, b), c)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: cached arrays are shared by every caller and thread."""
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=1)
 def product_operators() -> dict[str, tuple[np.ndarray, ...]]:
     """Embedded single-spin operators on the 48-dimensional product space."""
@@ -375,9 +381,9 @@ def product_operators() -> dict[str, tuple[np.ndarray, ...]]:
     sd = spin_operators(SPIN_DOUBLET)
     sn = spin_operators(SPIN_NUCLEUS)
     return {
-        "triplet": tuple(_kron3(op, eye2, eye8) for op in st),
-        "doublet": tuple(_kron3(eye3, op, eye8) for op in sd),
-        "nucleus": tuple(_kron3(eye3, eye2, op) for op in sn),
+        "triplet": tuple(_read_only(_kron3(op, eye2, eye8)) for op in st),
+        "doublet": tuple(_read_only(_kron3(eye3, op, eye8)) for op in sd),
+        "nucleus": tuple(_read_only(_kron3(eye3, eye2, op)) for op in sn),
     }
 
 
@@ -402,7 +408,7 @@ def _field_free_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
     h += bilinear(spec.dipolar_tensor().matrix(), s1, s2)
     h += bilinear(spec.zfs.matrix(), s1, s1)
     h += bilinear(spec.a_vo.matrix(), nuc, s2)
-    return h
+    return _read_only(h)
 
 
 def zeeman_per_mt(spec: SpinSystemSpec, orientation: LabOrientation) -> np.ndarray:
@@ -484,7 +490,7 @@ def coupled_transform(s1: float = SPIN_TRIPLET, s2: float = SPIN_DOUBLET) -> np.
             vec = vec / np.linalg.norm(vec)
             columns.append(vec)
         s_val -= 1.0
-    return np.column_stack(columns)
+    return _read_only(np.column_stack(columns))
 
 
 def point_dipole_coupling(distance_nm: float, g1: float, g2: float) -> float:

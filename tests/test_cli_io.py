@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -327,6 +328,46 @@ def test_cli_simulate_reruns_bit_identical(tmp_path, capsys):
     sums_a = {os.path.basename(k): v for k, v in man_a["outputs"].items()}
     sums_b = {os.path.basename(k): v for k, v in man_b["outputs"].items()}
     assert sums_a == sums_b
+
+
+POWDER16_SCHEME = "[scheme]\nkind = powder\ngrid_size = 16"
+
+
+def test_cli_simulate_powder_same_on_any_worker_count(tmp_path, monkeypatch, capsys):
+    # Two reruns on every CPU and one with no helper threads write the same bytes.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_dimer_cfg(tmp_path / "a", POWDER16_SCHEME))
+    assert cli.entry(["simulate", "--config", str(cfg)]) == 0
+    assert cli.entry(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
+    monkeypatch.setattr(sp, "_HELPERS", 0)
+    assert cli.entry(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    for name in ("demo.csv", "demo.meta.json"):
+        first = (tmp_path / "a" / name).read_bytes()
+        assert first == (tmp_path / "b" / name).read_bytes() == (tmp_path / "c" / name).read_bytes(), name
+
+
+def test_cli_simulate_worker_error_exit_code(tmp_path, monkeypatch, capsys):
+    # A LinAlgError raised in a helper thread of the orientation average
+    # still ends simulate with exit 3; the next run succeeds.
+    monkeypatch.setattr(sp, "_HELPERS", max(sp._HELPERS, 1))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_dimer_cfg(tmp_path, POWDER16_SCHEME))
+    parts = spincore.hamiltonian_parts
+    helper_started = threading.Event()
+
+    def failing_parts(spec, orientation):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_started.wait(timeout=60)
+            return parts(spec, orientation)
+        helper_started.set()
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(spincore, "hamiltonian_parts", failing_parts)
+    assert cli.entry(["simulate", "--config", str(cfg)]) == 3
+    assert "error: numerical" in capsys.readouterr().err
+    monkeypatch.setattr(spincore, "hamiltonian_parts", parts)
+    assert cli.entry(["simulate", "--config", str(cfg)]) == 0
 
 
 TRIPLET_CFG = """

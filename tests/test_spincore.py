@@ -278,6 +278,21 @@ def test_hermitian_operator_validation():
         sc.HermitianOperator(np.zeros((2, 3)))
 
 
+def test_cached_operators_are_read_only():
+    # Cached arrays are shared by every caller, including the threads of
+    # the orientation average; a write into one must fail, not spread.
+    shared = [
+        *(op for ops in sc.product_operators().values() for op in ops),
+        sc._field_free_hamiltonian(sc.vanadyl_porphyrin_dimer()),
+        sc.coupled_transform(),
+    ]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] += 1.0
+    h0, _ = sc.hamiltonian_parts(sc.vanadyl_porphyrin_dimer(), sc.LabOrientation(0.3, 0.2))
+    h0[0, 0] += 1.0  # callers get their own copy
+
+
 # ------------------------------------------------------------ coupled basis
 
 
