@@ -11,6 +11,14 @@ sequential-kinetics analysis of transient-absorption data.
 
 __version__ = "0.1.0"
 
+import os
+
+# OpenBLAS on one thread unless the caller chose a count: the threads
+# of spectra.orientation_average already fill the CPUs, and OpenBLAS threads
+# beside them only compete for the same CPUs.  This takes effect only where
+# numpy is imported after quartetsim, as in the command-line tool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .constants import BOHR_MHZ_PER_MT, MHZ_PER_INVCM
 from .spincore import (
     FrameGeometry,

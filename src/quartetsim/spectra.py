@@ -20,13 +20,11 @@ emission.  With thermal populations every stick amplitude is non-negative.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field as dc_field, fields
-from functools import cache
 
 import numpy as np
 
@@ -515,8 +513,9 @@ def find_resonances(
     populations, slope and labels from the root's own eigenvectors.
 
     The grid is diagonalized ``_GRID_BLOCK`` matrices at a time and the
-    brackets are resolved ``_BRACKET_BLOCK`` at a time, so the temporaries
-    stay the same size however many resonances an orientation has.
+    brackets are resolved about ``_BRACKET_BLOCK`` at a time (a block ends
+    on a whole grid segment), so the temporaries stay the same size however
+    many resonances an orientation has.
 
     ``Stick.lower``/``upper`` are sorted level indices at the stick's
     field; ``electron_m``/``nuclear_m`` stay unset (:func:`stick_spectrum`
@@ -552,12 +551,28 @@ def find_resonances(
     hit_k, hit_p = np.concatenate(hit_k), np.concatenate(hit_p)
     order = np.lexsort((hit_p, hit_k))
     hit_k, hit_p = hit_k[order], hit_p[order]
-    blocks = [
-        _resolve_brackets(
-            h0, h1, sweep, channels, transverse_ops, bgrid, hit_k[b], iu[hit_p[b]], ju[hit_p[b]], diag
+    blocks = []
+    last = None  # grid index, eigenvalues and eigenvectors of the previous block's last node
+    s = 0
+    while s < len(hit_k):
+        # A block takes every bracket of its last grid segment, so the next
+        # block starts on a later segment and shares at most one node with it.
+        e = int(np.searchsorted(hit_k, hit_k[min(s + _BRACKET_BLOCK, len(hit_k)) - 1], side="right"))
+        k, p = hit_k[s:e], hit_p[s:e]
+        # Eigenvectors only where a bracket needs them; a node shared with
+        # the previous block is diagonalized once.
+        needed = np.unique(np.concatenate([k, k + 1]))
+        shared = int(last is not None and needed[0] == last[0])
+        evals, evecs = np.linalg.eigh(h0 + bgrid[needed[shared:], None, None] * h1)
+        if shared:
+            evals, evecs = np.concatenate([last[1], evals]), np.concatenate([last[2], evecs])
+        last = (needed[-1], evals[-1:].copy(), evecs[-1:].copy())
+        blocks.append(
+            _resolve_brackets(
+                h0, h1, sweep, channels, transverse_ops, bgrid, k, iu[p], ju[p], needed, evals, evecs, diag
+            )
         )
-        for b in (slice(s, s + _BRACKET_BLOCK) for s in range(0, len(hit_k), _BRACKET_BLOCK))
-    ]
+        s = e
     if not sum(len(b[0]) for b in blocks):
         return [], diag
     b_res, slope, li, lj, amps = (np.concatenate(a) for a in zip(*blocks))
@@ -577,11 +592,15 @@ def find_resonances(
     return sticks, diag
 
 
-def _resolve_brackets(h0, h1, sweep, channels, transverse_ops, bgrid, hit_k, li, lj, diag):
+def _resolve_brackets(
+    h0, h1, sweep, channels, transverse_ops, bgrid, hit_k, li, lj, needed, evals, evecs, diag
+):
     """Sticks of the brackets between ``bgrid[hit_k]`` and ``bgrid[hit_k + 1]``.
 
     ``li``/``lj`` are the sorted level pairs whose transition frequency
-    changes sign there.  Returns field, slope, lower and upper labels and
+    changes sign there; ``evals``/``evecs`` are the eigenpairs at the
+    sorted grid indices ``needed``, which hold every ``hit_k`` and
+    ``hit_k + 1``.  Returns field, slope, lower and upper labels and
     amplitudes ``(n, n_channels)`` of the brackets that give a stick, in
     bracket order, and adds this block's counts to ``diag``.
     """
@@ -590,10 +609,8 @@ def _resolve_brackets(h0, h1, sweep, channels, transverse_ops, bgrid, hit_k, li,
     def hamiltonians(fields: np.ndarray) -> np.ndarray:
         return h0[None, :, :] + fields[:, None, None] * h1[None, :, :]
 
-    # Eigenvectors only where a bracket needs them.  k and k+1 are adjacent
-    # integers, so their positions in the sorted unique array are adjacent too.
-    needed = np.unique(np.concatenate([hit_k, hit_k + 1]))
-    evals, evecs = np.linalg.eigh(hamiltonians(bgrid[needed]))
+    # k and k+1 are adjacent integers, so their positions in the sorted
+    # unique array are adjacent too.
     k0 = np.searchsorted(needed, hit_k)
     k1 = k0 + 1
 
@@ -773,130 +790,10 @@ def _transverse_ops(
     return sum(a[c] * spin_xyz[c] for c in range(3)), sum(b[c] * spin_xyz[c] for c in range(3))
 
 
-# Beside the calling thread, one helper thread per further CPU in the
-# affinity mask.  The pool starts its threads on first use and keeps them.
-_HELPERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) - 1
-_HELPER_POOL = ThreadPoolExecutor(max(_HELPERS, 1), thread_name_prefix="orientation-average")
-
-
-@cache
-def _openblas_threads():
-    """``(get, set)`` of the thread count of the OpenBLAS this process loaded, or None."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({p for p in (line.split()[-1] for line in fh) if p.startswith("/") and "openblas" in p})
-    except OSError:  # no /proc: not Linux
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
-            if get is not None and put is not None:
-                return get, put
-    return None
-
-
-class _OneBlasThread:
-    """Context manager: OpenBLAS runs on one thread while any orientation average runs.
-
-    The orientation threads already use every CPU; OpenBLAS threads beside
-    them only compete for the same CPUs.  With OpenBLAS on two threads, a
-    64-orientation powder took 9.4 s on two orientation threads against
-    4.5 s with OpenBLAS on one (2 CPUs).  Nested and concurrent averages
-    share one count; the last to leave restores the thread count.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._users = 0
-        self._saved = 0
-
-    def __enter__(self):
-        with self._lock:
-            calls = _openblas_threads()
-            if self._users == 0 and calls is not None:
-                self._saved = calls[0]()
-                calls[1](1)
-            self._users += 1
-
-    def __exit__(self, *exc_info):
-        with self._lock:
-            self._users -= 1
-            calls = _openblas_threads()
-            if self._users == 0 and calls is not None:
-                calls[1](self._saved)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
-
-
-def _ordered_map(fn, items: list, consume) -> None:
-    """Call ``consume(i, fn(items[i]))`` for every i, in order.
-
-    ``fn`` runs on this thread and on up to ``_HELPERS`` threads of the
-    helper pool (never more threads than items); each takes the next item
-    not yet taken.  ``consume`` runs on this thread only, in item order, so
-    the result does not depend on the thread count.  At most two items per
-    thread are taken beyond the last one consumed, which bounds the results
-    held at once.  An exception from ``fn`` is raised here.
-    """
-    n = len(items)
-    helpers = max(0, min(_HELPERS, n - 1))
-    window = 2 * (helpers + 1)
-    cond = threading.Condition()
-    done: dict[int, tuple[bool, object]] = {}
-    taken = consumed = 0
-    stop = False
-
-    def take() -> int | None:
-        # Called with ``cond`` held.
-        nonlocal taken
-        if stop or taken >= min(n, consumed + window):
-            return None
-        taken += 1
-        return taken - 1
-
-    def helper() -> None:
-        while True:
-            with cond:
-                while (i := take()) is None:
-                    if stop or taken >= n:
-                        return
-                    cond.wait()
-            try:
-                result = (True, fn(items[i]))
-            except BaseException as exc:  # handed to the consuming thread, which raises it
-                result = (False, exc)
-            with cond:
-                done[i] = result
-                cond.notify_all()
-
-    futures = [_HELPER_POOL.submit(helper) for _ in range(helpers)]
-    try:
-        for i in range(n):
-            # Take and compute items until item i is done.
-            while True:
-                with cond:
-                    while i not in done and (j := take()) is None:
-                        cond.wait()
-                    if i in done:
-                        ok, result = done.pop(i)
-                        consumed = i + 1
-                        cond.notify_all()
-                        break
-                value = fn(items[j])
-                with cond:
-                    done[j] = (True, value)
-            if not ok:
-                raise result
-            consume(i, result)
-    finally:
-        with cond:
-            stop = True
-            cond.notify_all()
-        for future in futures:
-            if not future.cancel():
-                future.result()
+# One worker per CPU in the affinity mask: the calling thread and the
+# helper threads of the pool, which starts them on first use and keeps them.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="orientation-average")
 
 
 def orientation_average(
@@ -915,10 +812,15 @@ def orientation_average(
     gives an ``(n_channels, n_points)`` block, zero where nothing resonates,
     and the total is ``sum(weight * block)`` in orientation order.
 
-    Orientations are computed on every CPU the process may use (see
-    :func:`_ordered_map`), so ``parts`` must be safe to call from several
-    threads at once; blocks are summed in orientation order, so the result
-    does not depend on the CPU count.
+    Orientations are dealt in turn to the workers, one per CPU the process
+    may use: the calling thread computes every ``_WORKERS``-th orientation
+    and the helper threads the rest, so ``parts`` must be safe to call from
+    several threads at once.  The calling thread sums the blocks in
+    orientation order, so the result does not depend on the CPU count; at
+    most two orientations per worker are queued or finished ahead of the
+    one being summed.  An exception from an orientation is raised here,
+    after the orientations still queued are cancelled and those running
+    have ended.
     """
     total = np.zeros((n_channels, sweep.n_points))
     diags = SearchDiagnostics()
@@ -929,16 +831,28 @@ def orientation_average(
         sticks, diag = find_resonances(h0, h1, sweep, channels, transverse)
         return (convolve_lineshape(sticks, sweep) if sticks else None), diag
 
-    def add(i: int, result: tuple[np.ndarray | None, SearchDiagnostics]) -> None:
-        nonlocal total
-        spectrum, diag = result
-        diags.add(diag)
-        # Nothing resonates: adding weight * 0 would leave the total as it is.
-        if spectrum is not None:
-            total += weights[i] * spectrum
-
-    with _ONE_BLAS_THREAD:
-        _ordered_map(block, orientations, add)
+    # The calling thread computes its own orientations here rather than
+    # waiting: its memory arena is already grown, so a helper in its place
+    # would add one more arena's worth to the peak RSS.
+    workers = min(_WORKERS, len(orientations))
+    window = 2 * workers
+    pending = deque()  # futures of the helpers' orientations from i on, in order
+    queued = 0  # orientations below this index are queued or left to this thread
+    try:
+        for i in range(len(orientations)):
+            for j in range(queued, min(i + window, len(orientations))):
+                if j % workers:
+                    pending.append(_POOL.submit(block, orientations[j]))
+            queued = i + window
+            spectrum, diag = pending.popleft().result() if i % workers else block(orientations[i])
+            diags.add(diag)
+            # Nothing resonates: adding weight * 0 would leave the total as it is.
+            if spectrum is not None:
+                total += weights[i] * spectrum
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
     return total, diags
 
 

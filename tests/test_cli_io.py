@@ -7,7 +7,6 @@ import json
 import math
 import os
 import re
-import threading
 
 import numpy as np
 import pytest
@@ -334,12 +333,12 @@ POWDER16_SCHEME = "[scheme]\nkind = powder\ngrid_size = 16"
 
 
 def test_cli_simulate_powder_same_on_any_worker_count(tmp_path, monkeypatch, capsys):
-    # Two reruns on every CPU and one with no helper threads write the same bytes.
+    # Two reruns on every CPU and one on the calling thread alone write the same bytes.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(_dimer_cfg(tmp_path / "a", POWDER16_SCHEME))
     assert cli.entry(["simulate", "--config", str(cfg)]) == 0
     assert cli.entry(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
-    monkeypatch.setattr(sp, "_HELPERS", 0)
+    monkeypatch.setattr(sp, "_WORKERS", 1)
     assert cli.entry(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 0
     capsys.readouterr()
     for name in ("demo.csv", "demo.meta.json"):
@@ -348,20 +347,17 @@ def test_cli_simulate_powder_same_on_any_worker_count(tmp_path, monkeypatch, cap
 
 
 def test_cli_simulate_worker_error_exit_code(tmp_path, monkeypatch, capsys):
-    # A LinAlgError raised in a helper thread of the orientation average
-    # still ends simulate with exit 3; the next run succeeds.
-    monkeypatch.setattr(sp, "_HELPERS", max(sp._HELPERS, 1))
+    # A LinAlgError raised at one orientation (a helper thread's, on two or
+    # more CPUs) still ends simulate with exit 3; the next run succeeds.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(_dimer_cfg(tmp_path, POWDER16_SCHEME))
     parts = spincore.hamiltonian_parts
-    helper_started = threading.Event()
+    bad = sp.scheme_orientations(sp.PowderScheme(16))[0][5]
 
     def failing_parts(spec, orientation):
-        if threading.current_thread() is threading.main_thread():
-            assert helper_started.wait(timeout=60)
-            return parts(spec, orientation)
-        helper_started.set()
-        raise np.linalg.LinAlgError("eigenvalues did not converge")
+        if orientation == bad:
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return parts(spec, orientation)
 
     monkeypatch.setattr(spincore, "hamiltonian_parts", failing_parts)
     assert cli.entry(["simulate", "--config", str(cfg)]) == 3

@@ -1,7 +1,5 @@
 import dataclasses
 import math
-import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -513,92 +511,64 @@ def test_cw_doublet_isotropic_single_line():
 # ------------------------------------------------------- threads and blocks
 
 
-def _blas_threads():
-    """OpenBLAS thread count; the average caps it at one and restores it."""
-    calls = sp._openblas_threads()
-    return None if calls is None else calls[0]()
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(n)`` runs orientation averages on the calling thread and n - 1 helpers."""
+    pools = []
+
+    def use(n):
+        pools.append(ThreadPoolExecutor(max(n - 1, 1)))
+        monkeypatch.setattr(sp, "_POOL", pools[-1])
+        monkeypatch.setattr(sp, "_WORKERS", n)
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
+
+
+def _photo_powder16():
+    spec = sc.vanadyl_porphyrin_dimer()
+    orientations, weights = sp.scheme_orientations(sp.PowderScheme(16))
+    return sp._dimer_parts(spec, sp._model_channels(spec, TABLE_MODEL)), orientations, weights
 
 
 @pytest.mark.parametrize("n_channels", [1, 48])
-def test_average_does_not_depend_on_worker_count(monkeypatch, n_channels):
+def test_average_does_not_depend_on_worker_count(workers, n_channels):
     # The dimer's 16-orientation powder, with the single photo channel of
     # simulate_dimer and with the 48 channels of quartet_basis_spectra.
-    spec = sc.vanadyl_porphyrin_dimer()
-    if n_channels == 1:
-        channels = sp._model_channels(spec, TABLE_MODEL)
-    else:
+    parts, orientations, weights = _photo_powder16()
+    if n_channels == 48:
+        spec = sc.vanadyl_porphyrin_dimer()
         units = [pol.QuartetPolarizationParams(a=c[:3], r=c[3:]) for c in np.eye(6)]
-        channels = sp._quartet_channels(spec, units, np.eye(8))
-    parts = sp._dimer_parts(spec, channels)
-    orientations, weights = sp.scheme_orientations(sp.PowderScheme(16))
+        parts = sp._dimer_parts(spec, sp._quartet_channels(spec, units, np.eye(8)))
     runs = []
-    blas_threads = _blas_threads()
-    for helpers in (max(sp._HELPERS, 1), 0):
-        monkeypatch.setattr(sp, "_HELPERS", helpers)
+    for n in (max(sp._WORKERS, 3), 1):
+        workers(n)
         runs.append(sp.orientation_average(parts, FAST_SWEEP, orientations, weights, n_channels))
-    assert _blas_threads() == blas_threads
-    (total, diag), (inline_total, inline_diag) = runs
+    (total, diag), (serial_total, serial_diag) = runs
     assert total.shape == (n_channels, FAST_SWEEP.n_points)
-    assert total.tobytes() == inline_total.tobytes()
-    assert diag == inline_diag and diag.n_sticks > 0
+    assert total.tobytes() == serial_total.tobytes()
+    assert diag == serial_diag and diag.n_sticks > 0
 
 
-def test_worker_error_raises_from_the_average(monkeypatch):
-    # The first orientation a helper thread takes raises; the calling
-    # thread waits for that to happen, so the error comes from a helper.
-    monkeypatch.setattr(sp, "_HELPERS", max(sp._HELPERS, 1))
-    spec = sc.vanadyl_porphyrin_dimer()
-    parts = sp._dimer_parts(spec, sp._model_channels(spec, TABLE_MODEL))
-    orientations, weights = sp.scheme_orientations(sp.PowderScheme(16))
-    helper_started = threading.Event()
+@pytest.mark.parametrize("bad", [4, 5])
+def test_worker_error_raises_from_the_average(workers, bad):
+    # One orientation raises: on two workers, orientation 4 is the calling
+    # thread's and 5 the helper's.  The next call succeeds.
+    workers(2)
+    parts, orientations, weights = _photo_powder16()
 
     def failing_parts(orientation):
-        if threading.current_thread() is threading.main_thread():
-            assert helper_started.wait(timeout=60)
-            return parts(orientation)
-        helper_started.set()
-        raise np.linalg.LinAlgError("eigenvalues did not converge")
+        if orientation is orientations[bad]:
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return parts(orientation)
 
-    blas_threads = _blas_threads()
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         sp.orientation_average(failing_parts, FAST_SWEEP, orientations, weights, 1)
-    assert _blas_threads() == blas_threads
     total, diag = sp.orientation_average(parts, FAST_SWEEP, orientations, weights, 1)
-    monkeypatch.setattr(sp, "_HELPERS", 0)
-    inline_total, inline_diag = sp.orientation_average(parts, FAST_SWEEP, orientations, weights, 1)
-    assert total.tobytes() == inline_total.tobytes() and diag == inline_diag
-
-
-def test_ordered_map_under_contention(monkeypatch):
-    # More helper threads than cores and a short switch interval: every item
-    # is computed once and consumed once, in order.
-    n = 400
-    calls = [0] * n
-    consumed = []
-    lock = threading.Lock()
-
-    def square(i):
-        with lock:
-            calls[i] += 1
-        return i * i
-
-    pool = ThreadPoolExecutor(5)
-    monkeypatch.setattr(sp, "_HELPER_POOL", pool)
-    monkeypatch.setattr(sp, "_HELPERS", 5)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner = threading.Thread(
-            target=sp._ordered_map, args=(square, list(range(n)), lambda i, r: consumed.append((i, r)))
-        )
-        runner.start()
-        runner.join(timeout=60)
-        assert not runner.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-        pool.shutdown()
-    assert consumed == [(i, i * i) for i in range(n)]
-    assert calls == [1] * n
+    workers(1)
+    serial_total, serial_diag = sp.orientation_average(parts, FAST_SWEEP, orientations, weights, 1)
+    assert total.tobytes() == serial_total.tobytes() and diag == serial_diag
 
 
 def test_bracket_blocks_match_one_block(monkeypatch):
@@ -609,12 +579,24 @@ def test_bracket_blocks_match_one_block(monkeypatch):
     h0, h1, s_tot, channels = sp._dimer_parts(spec, sp._model_channels(spec, WEAK_THERMAL))(orientation)
     transverse = sp._transverse_ops(orientation, s_tot)
     sweep = sp.FieldSweepConfig()
+    eigh = np.linalg.eigh
+    diagonalized = []
+
+    def counting_eigh(a):
+        diagonalized.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     sticks, diag = sp.find_resonances(h0, h1, sweep, channels, transverse)
-    assert diag.n_sticks > 4 * sp._BRACKET_BLOCK
+    assert diag.n_sticks > 4 * sp._BRACKET_BLOCK and len(diagonalized) > 4
+    blocked = sum(diagonalized)
+    diagonalized.clear()
     monkeypatch.setattr(sp, "_BRACKET_BLOCK", 10**6)
     monkeypatch.setattr(sp, "_GRID_BLOCK", 10**6)
     whole, whole_diag = sp.find_resonances(h0, h1, sweep, channels, transverse)
     assert diag == whole_diag
+    # A node shared by two blocks is diagonalized once.
+    assert blocked == sum(diagonalized)
     _assert_same_sticks(sticks, whole, 1e-9)
     amps, whole_amps = (np.array([s.amplitudes for s in x]) for x in (sticks, whole))
     assert_allclose(amps, whole_amps, rtol=1e-12, atol=1e-12 * np.abs(whole_amps).max())
