@@ -43,6 +43,10 @@ class DataError(ValueError):
     """Malformed data file; message pins down the offending row."""
 
 
+# non-empty CSV rows, each with its line number in the file
+_Rows = list[tuple[int, list[str]]]
+
+
 def _fmt(x: float) -> str:
     return FLOAT_FMT % float(x)
 
@@ -66,9 +70,10 @@ def save_spectrum_csv(path: str, spectrum: Spectrum) -> None:
             writer.writerow([_fmt(b), _fmt(y)])
 
 
-def _read_rows(path: str) -> list[list[str]]:
+def _read_rows(path: str) -> _Rows:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        return [(reader.line_num, row) for row in reader if row]
 
 
 def _cell(row: list[str], i: int, row_no: int) -> float:
@@ -81,22 +86,56 @@ def _cell(row: list[str], i: int, row_no: int) -> float:
     return value
 
 
+def _parse_rows(rows: _Rows, n_cols: int) -> np.ndarray:
+    """Data rows of n_cols finite numbers each, as a float array.
+
+    Each row is converted whole; `_cell` runs only on a row that fails, to
+    name the bad value.  The first faulty row in file order is reported.
+    """
+    values = []
+    for row_no, row in rows:
+        if len(row) == n_cols:
+            try:
+                values.append([float(c) for c in row])
+                continue
+            except ValueError:
+                pass
+        # this row is faulty, but an earlier one may hold inf or nan
+        _check_finite(rows, np.array(values).reshape(-1, n_cols))
+        if len(row) != n_cols:
+            raise DataError(f"row {row_no}: expected {n_cols} columns, found {len(row)}")
+        for i in range(n_cols):
+            _cell(row, i, row_no)
+    array = np.array(values).reshape(-1, n_cols)
+    _check_finite(rows, array)
+    return array
+
+
+def _check_finite(rows: _Rows, array: np.ndarray) -> None:
+    """Raise for the first of the leading len(array) rows that holds inf or nan."""
+    bad = ~np.isfinite(array).all(axis=1)
+    if bad.any():
+        row_no, row = rows[int(np.argmax(bad))]
+        for i in range(len(row)):
+            _cell(row, i, row_no)
+
+
+def _check_increasing(rows: _Rows, axis: np.ndarray, name: str) -> None:
+    steps = np.diff(axis) <= 0
+    if steps.any():
+        row_no = rows[int(np.argmax(steps)) + 1][0]
+        raise DataError(f"row {row_no}: {name} axis not strictly increasing")
+
+
 def load_spectrum_csv(path: str) -> Spectrum:
     rows = _read_rows(path)
-    if not rows or [c.strip() for c in rows[0]] != ["field_mT", "intensity"]:
-        raise DataError("row 1: expected header 'field_mT,intensity'")
-    field, intensity = [], []
-    for row_no, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise DataError(f"row {row_no}: expected 2 columns, found {len(row)}")
-        field.append(_cell(row, 0, row_no))
-        intensity.append(_cell(row, 1, row_no))
-    if len(field) < 2:
+    if not rows or [c.strip() for c in rows[0][1]] != ["field_mT", "intensity"]:
+        raise DataError(f"row {rows[0][0] if rows else 1}: expected header 'field_mT,intensity'")
+    values = _parse_rows(rows[1:], 2)
+    if len(values) < 2:
         raise DataError("need at least 2 data rows")
-    for row_no in range(1, len(field)):
-        if field[row_no] <= field[row_no - 1]:
-            raise DataError(f"row {row_no + 2}: field axis not strictly increasing")
-    return Spectrum(np.asarray(field), np.asarray(intensity), metadata={"source": path})
+    _check_increasing(rows[1:], values[:, 0], "field")
+    return Spectrum(values[:, 0].copy(), values[:, 1].copy(), metadata={"source": path})
 
 
 def save_metadata(path: str, metadata: dict) -> None:
@@ -127,29 +166,24 @@ def load_ta_csv(path: str) -> tuple[TADataset, str]:
     rows = _read_rows(path)
     if not rows:
         raise DataError("row 1: empty file")
-    header = [c.strip() for c in rows[0]]
+    header_no, header = rows[0][0], [c.strip() for c in rows[0][1]]
     if not header[0].startswith("time_"):
-        raise DataError("row 1: first header cell must be 'time_<unit>'")
+        raise DataError(f"row {header_no}: first header cell must be 'time_<unit>'")
     unit = header[0][len("time_"):]
     if unit not in TIME_UNITS_PS:
-        raise DataError(f"row 1: unknown time unit {unit!r}; use one of {sorted(TIME_UNITS_PS)}")
-    scale = TIME_UNITS_PS[unit]
-    wavelengths = [_cell(header, i, 1) for i in range(1, len(header))]
+        raise DataError(
+            f"row {header_no}: unknown time unit {unit!r}; use one of {sorted(TIME_UNITS_PS)}"
+        )
+    wavelengths = np.array([_cell(header, i, header_no) for i in range(1, len(header))])
     if len(wavelengths) < 1:
-        raise DataError("row 1: no wavelength columns")
-    n_cols = len(header)
-    times, signal = [], []
-    for row_no, row in enumerate(rows[1:], start=2):
-        if len(row) != n_cols:
-            raise DataError(f"row {row_no}: expected {n_cols} columns, found {len(row)}")
-        times.append(_cell(row, 0, row_no) * scale)
-        signal.append([_cell(row, i, row_no) for i in range(1, n_cols)])
-    if len(times) < 2:
+        raise DataError(f"row {header_no}: no wavelength columns")
+    if np.any(np.diff(wavelengths) <= 0):
+        raise DataError(f"row {header_no}: wavelength axis not strictly increasing")
+    values = _parse_rows(rows[1:], len(header))
+    if len(values) < 2:
         raise DataError("need at least 2 time rows")
-    for row_no in range(1, len(times)):
-        if times[row_no] <= times[row_no - 1]:
-            raise DataError(f"row {row_no + 2}: time axis not strictly increasing")
-    data = TADataset(np.asarray(times), np.asarray(wavelengths), np.asarray(signal))
+    _check_increasing(rows[1:], values[:, 0], "time")
+    data = TADataset(values[:, 0] * TIME_UNITS_PS[unit], wavelengths, values[:, 1:].copy())
     return data, unit
 
 

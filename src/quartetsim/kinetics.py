@@ -12,7 +12,8 @@ ps-to-microsecond range.  Its gradient is the exact gradient of the
 projected cost (Golub & Pereyra, Inverse Problems 19, R1, 2003): with
 E = C+ D and R = D - C E, df/dtheta = -2 <R, (dC/dtheta) E>, because the
 term in dE/dtheta vanishes at the least-squares optimum E.  Only the small
-concentration matrix C is differentiated.
+concentration matrix C is differentiated, in closed form and in the same
+pass that computes C.
 """
 
 from __future__ import annotations
@@ -85,28 +86,28 @@ class TADataset:
         object.__setattr__(self, "delta_a", m)
 
 
-def _exp_response(delta: np.ndarray, rate: float, sigma: float) -> np.ndarray:
-    """Unit-step exponential decay convolved with a Gaussian of width sigma.
+def _exp_responses(delta: np.ndarray, rates: np.ndarray, sigma: float):
+    """Unit-step decays exp(-k_i delta) convolved with a Gaussian of width sigma.
 
-    Evaluated in two branches so neither the erfcx factor nor the Gaussian
+    Returns f, shape (n_rates, n_times), and the unit-area Gaussian g itself
+    (None when sigma is 0), which is computed once for all rates.  f is
+    evaluated in two branches so neither the erfcx factor nor the Gaussian
     prefactor overflows when rate*delta spans many hundreds.
     """
+    shape = (len(rates), len(delta))
+    k, d = np.broadcast_to(rates[:, None], shape), np.broadcast_to(delta, shape)
+    out = np.zeros(shape)
     if sigma == 0.0:
-        out = np.zeros_like(delta)
-        on = delta >= 0
-        out[on] = np.exp(-rate * delta[on])
-        return out
-    u = (rate * sigma - delta / sigma) / _SQRT2
-    out = np.empty_like(delta)
+        on = d >= 0
+        out[on] = np.exp(-k[on] * d[on])
+        return out, None
+    gauss = np.exp(-(delta**2) / (2 * sigma**2))
+    u = (k * sigma - d / sigma) / _SQRT2
     pos = u >= 0
-    out[pos] = 0.5 * erfcx(u[pos]) * np.exp(-(delta[pos] ** 2) / (2 * sigma**2))
+    out[pos] = 0.5 * erfcx(u[pos]) * np.broadcast_to(gauss, shape)[pos]
     neg = ~pos
-    out[neg] = (
-        0.5
-        * erfc(u[neg])
-        * np.exp(-rate * delta[neg] + 0.5 * (rate * sigma) ** 2)
-    )
-    return out
+    out[neg] = 0.5 * erfc(u[neg]) * np.exp(-k[neg] * d[neg] + 0.5 * (k[neg] * sigma) ** 2)
+    return out, gauss / (sigma * np.sqrt(2 * np.pi))
 
 
 def _bateman_amplitudes(rates: np.ndarray) -> np.ndarray:
@@ -121,15 +122,66 @@ def _bateman_amplitudes(rates: np.ndarray) -> np.ndarray:
     return amp
 
 
+def _bateman_derivatives(rates: np.ndarray, amp: np.ndarray) -> np.ndarray:
+    """d amp[n, i] / d k_j, indexed [j, n, i].
+
+    amp[n, i] = prod_{m<n} k_m / prod_{j<=n, j!=i} (k_j - k_i), so its
+    log-derivative in k_j is [j<n]/k_j - [j<=n, j!=i]/(k_j - k_i), plus
+    sum_{m<=n, m!=i} 1/(k_m - k_i) when j = i.
+    """
+    n = len(rates)
+    gap = rates[:, None] - rates[None, :]
+    np.fill_diagonal(gap, np.inf)
+    inv_gap = 1.0 / gap  # [j, i] = 1/(k_j - k_i), 0 on the diagonal
+    diag = np.arange(n)
+    dlog = np.zeros((n, n, n))
+    for comp in range(n):
+        dlog[:comp, comp, :] += 1.0 / rates[:comp, None]
+        dlog[: comp + 1, comp, :] -= inv_gap[: comp + 1]
+        dlog[diag, comp, diag] += inv_gap[: comp + 1].sum(axis=0)
+    return dlog * amp
+
+
 def concentrations(model: SequentialModel, times: np.ndarray) -> np.ndarray:
     """Concentration profiles, shape (n_times, n_compartments)."""
-    t = np.asarray(times, dtype=float)
-    delta = t - model.t0
+    delta = np.asarray(times, dtype=float) - model.t0
+    sigma = model.irf_fwhm * _FWHM_TO_SIGMA
+    responses, _ = _exp_responses(delta, model.rates, sigma)
+    return (_bateman_amplitudes(model.rates) @ responses).T
+
+
+def _concentrations_and_jacobian(
+    model: SequentialModel, times: np.ndarray, fit_t0: bool, fit_irf: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concentrations C and their derivatives in the fit parameters x.
+
+    x is log10 of each lifetime, then t0 (if fitted), then log10 of the IRF
+    FWHM (if fitted), as in `_projected_cost`.  With d = t - t0, s the IRF
+    sigma, f the convolved decays and g the Gaussian,
+    df/dk = (k s^2 - d) f - s^2 g (-d f when s = 0), df/dd = -k f + g and
+    df/ds = k^2 s f - (k s + d/s) g; the Bateman amplitudes add their own
+    rate derivatives.  Returns C, shape (n_times, n_compartments), and dC/dx,
+    shape (n_params, n_times, n_compartments).
+    """
+    delta = np.asarray(times, dtype=float) - model.t0
     sigma = model.irf_fwhm * _FWHM_TO_SIGMA
     rates = model.rates
-    responses = np.stack([_exp_response(delta, k, sigma) for k in rates])
+    k = rates[:, None]
+    f, g = _exp_responses(delta, rates, sigma)
     amp = _bateman_amplitudes(rates)
-    return (amp @ responses).T
+    if g is None:
+        df_dk = -delta * f
+    else:
+        df_dk = (k * sigma**2 - delta) * f - sigma**2 * g
+    # dC^T/dk_j = (d amp/dk_j) f + amp[:, j] df_j/dk_j, and dk/dlog10(tau) = -ln(10) k
+    d_rates = _bateman_derivatives(rates, amp) @ f + amp.T[:, :, None] * df_dk[:, None, :]
+    dconc = [-np.log(10.0) * k[:, :, None] * d_rates]
+    if fit_t0:
+        dconc.append(-(amp @ (g - k * f))[None])  # dd/dt0 = -1
+    if fit_irf:
+        df_ds = (k**2 * sigma) * f - (k * sigma + delta / sigma) * g
+        dconc.append(np.log(10.0) * sigma * (amp @ df_ds)[None])  # ds/dlog10(fwhm) = ln(10) s
+    return (amp @ f).T, np.concatenate(dconc).transpose(0, 2, 1)
 
 
 @dataclass
@@ -181,20 +233,16 @@ class GlobalFitResult:
     message: str = ""
 
 
-# Relative step of the central differences of the concentration matrix.
-_DIFF_STEP = 1e-6
-
-
 def _projected_cost(data: TADataset, init_model: SequentialModel, fit_t0: bool, fit_irf: bool):
     """Start vector, its unpacking into a model, and the projected cost.
 
     The parameters are log10 of each lifetime, then t0 (if fitted), then
     log10 of the IRF FWHM (if fitted).  ``cost(x)`` returns
     ||D - C E||^2 / scale^2 at E = C+ D, with scale the largest |D|, and its
-    gradient -2 <R, (dC/dx_j) E> / scale^2 with R = D - C E; dC/dx_j is a
-    central difference of the concentrations.  A vector that makes no valid
-    model (an overflowing or coincident lifetime, a rank-deficient C) costs
-    inf.
+    gradient -2 <R, (dC/dx_j) E> / scale^2 with R = D - C E; C and every
+    dC/dx_j come from one closed-form pass (`_concentrations_and_jacobian`).
+    A vector that makes no valid model (an overflowing or coincident
+    lifetime, a rank-deficient C) costs inf.
     """
     n_comp = init_model.n_compartments
     x0 = list(np.log10(init_model.lifetimes))
@@ -220,22 +268,14 @@ def _projected_cost(data: TADataset, init_model: SequentialModel, fit_t0: bool, 
     scale = float(np.abs(data.delta_a).max())
 
     def cost(x: np.ndarray) -> tuple[float, np.ndarray]:
-        grad = np.zeros(len(x))
         try:
-            conc = concentrations(unpack(x), data.times)
+            conc, dconc = _concentrations_and_jacobian(unpack(x), data.times, fit_t0, fit_irf)
             eas, _ = eas_solve(conc, data)
-            resid = data.delta_a - conc @ eas
-            # <R, dC E> = <R E^T, dC>, contracted over the small n_t x n_c matrix
-            resid_eas = resid @ eas.T
-            for j in range(len(x)):
-                step = np.zeros(len(x))
-                step[j] = _DIFF_STEP * max(1.0, abs(x[j]))
-                dconc = concentrations(unpack(x + step), data.times) - concentrations(
-                    unpack(x - step), data.times
-                )
-                grad[j] = -np.sum(resid_eas * dconc) / step[j]
         except (ValueError, np.linalg.LinAlgError):
             return np.inf, np.zeros(len(x))
+        resid = data.delta_a - conc @ eas
+        # <R, dC E> = <R E^T, dC>, contracted over the small n_t x n_c matrix
+        grad = -2.0 * np.tensordot(dconc, resid @ eas.T, axes=2)
         return float(np.vdot(resid, resid)) / scale**2, grad / scale**2
 
     return x0, unpack, cost

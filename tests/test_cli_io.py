@@ -263,6 +263,68 @@ def test_ta_csv_errors(tmp_path):
         dataio.load_ta_csv(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("time_ps,500,510\n0,1,2\n1,abc,3\n", "row 3: non-numeric value 'abc'"),
+    ("time_ps,500,510\n0,1,2\n1,2,nan\n", "row 3: non-finite value 'nan'"),
+    ("time_ps,500,510\n0,1,2\ninf,2,3\n", "row 3: non-finite value 'inf'"),
+    ("time_ps,500,abc\n0,1,2\n1,2,3\n", "row 1: non-numeric value 'abc'"),
+    ("time_ps,500,nan\n0,1,2\n1,2,3\n", "row 1: non-finite value 'nan'"),
+    ("time_ps,-inf,510\n0,1,2\n1,2,3\n", "row 1: non-finite value '-inf'"),
+    ("time_ps,500,510\n0,1,2\n1,nan,3\n2,3\n", "row 3: non-finite value 'nan'"),
+    ("time_ps,500,510\n0,1,2\n1,2,3\n2,3,x\n3,4\n", "row 4: non-numeric value 'x'"),
+], ids=["data-text", "data-nan", "data-inf", "header-text", "header-nan", "header-inf",
+        "nan-before-short-row", "text-before-short-row"])
+def test_ta_csv_bad_cells(tmp_path, text, message):
+    # The first faulty row in file order is the one named.
+    path = tmp_path / "ta.csv"
+    path.write_text(text)
+    with pytest.raises(dataio.DataError) as err:
+        dataio.load_ta_csv(path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (dataio.load_ta_csv, "time_ps,500,510\n0,1,2\n\n1,abc,3\n", "row 4: non-numeric value 'abc'"),
+    (dataio.load_ta_csv, "time_ps,500,510\n\n0,1,2\n\n\n1,2\n", "row 6: expected 3 columns, found 2"),
+    (dataio.load_ta_csv, "time_ps,500\n\n5,1\n\n2,2\n", "row 5: time axis not strictly increasing"),
+    (dataio.load_spectrum_csv, "field_mT,intensity\n1,2\n\n2,abc\n", "row 4: non-numeric value 'abc'"),
+    (dataio.load_spectrum_csv, "field_mT,intensity\n\n1,2\n\n2,inf\n",
+     "row 5: non-finite value 'inf'"),
+    (dataio.load_spectrum_csv, "field_mT,intensity\n2,1\n\n\n1,1\n",
+     "row 5: field axis not strictly increasing"),
+], ids=["ta-text", "ta-columns", "ta-time", "spectrum-text", "spectrum-inf", "spectrum-field"])
+def test_csv_rows_numbered_by_file_line(tmp_path, load, text, message):
+    # Blank lines are skipped but still counted.
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(dataio.DataError) as err:
+        load(path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("header", ["time_ps,600,500", "time_ps,500,500"],
+                         ids=["descending", "duplicate"])
+def test_cli_fit_ta_rejects_unordered_wavelengths(tmp_path, capsys, header):
+    data_path = tmp_path / "ta.csv"
+    data_path.write_text(header + "\n0,1,2\n1,2,3\n2,3,4\n")
+    cfg = tmp_path / "ta.cfg"
+    cfg.write_text(f"""
+[meta]
+schema_version = 1
+model = quartet-dimer
+[kinetics]
+lifetimes_ps = 3.0 100.0
+[output]
+directory = {tmp_path}
+""")
+    rc = cli.entry(["fit-ta", "--config", str(cfg), "--data", str(data_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: row 1: wavelength axis not strictly increasing"
+    ]
+    assert not list(tmp_path.glob("*_eas.csv"))
+
+
 def test_manifest_records_checksums(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("[meta]\nschema_version = 1\nmodel = triplet\n")

@@ -281,6 +281,43 @@ def test_projected_cost_gradient(fit_t0, fit_irf):
     assert_allclose(grad, numeric, rtol=1e-5)
 
 
+def test_projected_cost_gradient_irf_alone():
+    data = _t0_map(0.8)
+    start = kin.SequentialModel((3.0, 10.0), irf_fwhm=0.5, t0=1.33)
+    x0, _, cost = kin._projected_cost(data, start, False, True)
+    f, grad = cost(x0)
+    assert math.isfinite(f) and np.abs(grad).min() > 1e-3
+    numeric = [(cost(x0 + step)[0] - cost(x0 - step)[0]) / 2e-5 for step in 1e-5 * np.eye(len(x0))]
+    assert_allclose(grad, numeric, rtol=1e-5)
+
+
+# A near-coincident pair cancels large amplitudes, which costs the
+# differences (not the closed form) about 1e-7 of the peak.
+@pytest.mark.parametrize("lifetimes, tolerance", [
+    ((3.0,), 1e-8), ((1.5, 30.0), 1e-8), ((0.8, 5.0, 60.0), 1e-8), ((0.8, 5.0, 60.0, 700.0), 1e-8),
+    ((2.0, 2.0001), 1e-6), ((2.0, 2.0001, 9.0), 1e-6),
+], ids=["1", "2", "3", "4", "near-coincident", "near-coincident-3"])
+@pytest.mark.parametrize("irf_fwhm, t0", [(0.0, 0.0), (0.4, 0.3)], ids=["no-irf", "irf"])
+def test_concentration_jacobian_matches_differences(lifetimes, tolerance, irf_fwhm, t0):
+    # Closed-form dC/dx against central differences of `concentrations`, in
+    # the fit parameters: log10 lifetimes, then t0 and log10 IRF FWHM.
+    assert len(lifetimes) <= kin.MAX_COMPARTMENTS
+    t = np.concatenate([np.linspace(-2.0, 12.0, 60), np.geomspace(12.5, 2000.0, 80)])
+    model = kin.SequentialModel(lifetimes, irf_fwhm=irf_fwhm, t0=t0)
+    with_irf = irf_fwhm > 0
+    data = kin.TADataset(t, np.array([500.0]), np.ones((len(t), 1)))
+    x0, unpack, _ = kin._projected_cost(data, model, with_irf, with_irf)
+    conc, dconc = kin._concentrations_and_jacobian(model, t, with_irf, with_irf)
+    assert dconc.shape == (len(x0), len(t), len(lifetimes))
+    assert_allclose(conc, kin.concentrations(model, t), rtol=0, atol=0)
+    h = 1e-5
+    numeric = np.stack([
+        (kin.concentrations(unpack(x0 + step), t) - kin.concentrations(unpack(x0 - step), t)) / (2 * h)
+        for step in h * np.eye(len(x0))
+    ])
+    assert_allclose(dconc, numeric, rtol=0, atol=tolerance * np.abs(dconc).max())
+
+
 def test_overflowing_lifetime_costs_inf_quietly():
     data = _t0_map(0.8)
     _, _, cost = kin._projected_cost(data, kin.SequentialModel((3.0, 10.0)), False, False)
