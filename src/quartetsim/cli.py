@@ -100,7 +100,9 @@ def _cmd_simulate(args) -> int:
         grid_size = _validated(lambda: cfg.build_scheme("powder")).grid_size
         s, polar = cfg.sections["system"], cfg.sections.get("polarization", {})
         if cfg.model == "triplet":
-            spectrum = _compute(lambda: sp.simulate_triplet(**s, **polar, sweep=sweep, grid_size=grid_size))
+            populations = _validated(cfg.build_polarization)
+            spectrum = _compute(lambda: sp.simulate_triplet(
+                **s, populations=populations, sweep=sweep, grid_size=grid_size))
         else:
             g_t, a_t = spincore.InteractionTensor(s["g"]), spincore.InteractionTensor(s["a_mhz"])
             spectrum = _compute(lambda: sp.simulate_cw_doublet(g_t, a_t, sweep, grid_size, **polar))
@@ -253,6 +255,8 @@ def _section_builds(cfg: configio.RunConfig) -> list:
                 builds.append(build)
     else:
         builds.append(lambda: cfg.build_scheme("powder"))
+        if cfg.model == "triplet" and cfg.has("polarization"):
+            builds.append(cfg.build_polarization)
     if cfg.has("fit"):
         builds.append(lambda: _fit_settings(cfg))
         builds += [lambda kind=kind: cfg.build_scheme(kind) for kind in cfg.get("fit", "schemes", ())]

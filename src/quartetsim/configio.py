@@ -252,8 +252,10 @@ class RunConfig:
         s = dict(self.sections["system"])
         return spincore.SpinSystemSpec.from_parameters(exchange_cm=s.pop("exchange_invcm"), **s)
 
-    def build_polarization(self) -> pol.PolarizationModel:
+    def build_polarization(self) -> pol.PolarizationModel | pol.TripletZeroFieldPolarization:
         p = self.sections.get("polarization", {})
+        if self.model == "triplet":
+            return pol.TripletZeroFieldPolarization(p["populations"])
         if p.get("kind") == "thermal":
             return pol.ThermalPolarization(p["temperature_k"])
         return pol.PhotoQuartetPolarization(

@@ -9,10 +9,11 @@ evaluates as a tensor contraction; the per-dataset scales then have a
 closed-form optimum for any coefficients and populations.  The fit is a
 variable projection (Golub & Pereyra, Inverse Problems 19, R1 (2003)): the
 free coefficients are a linear least-squares solve for given populations and
-scales, and each start of a deterministic multi-start schedule runs a
-trust-region least-squares solve (trust-region reflective; Branch, Coleman &
-Li, SIAM J. Sci. Comput. 21, 1 (1999)) over the population logits and scales
-only, with Kaufman's Jacobian (BIT 15, 49 (1975)) of the projected residual.
+scales.  Each start of the seeded multi-start schedule, which `kinetics`
+shares, runs a trust-region least-squares solve (trust-region reflective;
+Branch, Coleman & Li, SIAM J. Sci. Comput. 21, 1 (1999)) over the population
+logits and scales only, with Kaufman's Jacobian (BIT 15, 49 (1975)) of the
+projected residual; the start with the lowest final cost is reported.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from scipy.optimize import least_squares
 from scipy.optimize import minimize  # noqa: F401 -- perfbench/tracing.py wraps fitting.minimize
 
 from . import polarization as pol
+from ._multistart import multi_start
 from .spectra import (
     FieldSweepConfig,
     OrientationScheme,
     PARAM_NAMES,
-    QuartetBasisSpectra,
     Spectrum,
     quartet_basis_spectra,
 )
@@ -114,7 +115,7 @@ class FitResult:
     stderr_nuclear: tuple[float, ...] | None = None
 
 
-def dataset_bases(problem: FitProblem) -> list[QuartetBasisSpectra]:
+def dataset_bases(problem: FitProblem) -> list[np.ndarray]:
     """Basis-spectrum tensors, one per dataset (shared schemes computed once)."""
     cache: dict = {}
     for ds in problem.datasets:
@@ -163,7 +164,7 @@ class FitModel:
         return cls(
             tensors=tuple(
                 np.array([[np.interp(ds.spectrum.field_mt, axis, row) for row in plane]
-                          for plane in basis.tensor])
+                          for plane in basis])
                 for ds, basis in zip(problem.datasets, dataset_bases(problem))
             ),
             data=data,
@@ -316,13 +317,6 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
             solved[key] = c, p, scales, cols, r0 + cols @ c[coeff_idx]
         return solved[key]
 
-    n_evals = 0
-
-    def residuals(x: np.ndarray) -> np.ndarray:
-        nonlocal n_evals
-        n_evals += 1
-        return project(x)[4]
-
     def jacobian(x: np.ndarray) -> np.ndarray:
         # Kaufman's Jacobian: the logit and scale columns at the solved
         # coefficients, projected off the coefficient columns.
@@ -337,36 +331,29 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
     if fits_nuclear:
         logits0 = np.clip(_start_logits(problem.start_nuclear), -_LOGIT_BOUND, _LOGIT_BOUND)
     scales0 = np.array([s for s, _, _ in model.terms(c_full, populations(logits0))])
-    rng = np.random.default_rng(problem.settings.seed)
-    starts = [np.concatenate([logits0, scales0])]
-    for _ in range(problem.settings.n_starts - 1):
-        z = problem.settings.start_spread * rng.standard_normal(n_logits + n_scales)
-        logits = np.clip(logits0 + 2.0 * _LOGIT_BOUND * z[:n_logits], -_LOGIT_BOUND, _LOGIT_BOUND)
-        starts.append(np.concatenate([logits, scales0 * np.exp(z[n_logits:])]))
+    settings = problem.settings
 
-    tol = max(problem.settings.tolerance, np.finfo(float).eps)
+    def perturb(rng: np.random.Generator) -> np.ndarray:
+        z = settings.start_spread * rng.standard_normal(n_logits + n_scales)
+        logits = np.clip(logits0 + 2.0 * _LOGIT_BOUND * z[:n_logits], -_LOGIT_BOUND, _LOGIT_BOUND)
+        return np.concatenate([logits, scales0 * np.exp(z[n_logits:])])
+
+    tol = max(settings.tolerance, np.finfo(float).eps)
     box = np.full(n_logits + n_scales, np.inf)
     box[:n_logits] = _LOGIT_BOUND
-    solves = []
-    for x_start in starts:
-        res = least_squares(
-            residuals,
-            x_start,
-            jac=jacobian,
-            bounds=(-box, box),
-            method="trf",
-            max_nfev=problem.settings.max_iterations,
-            xtol=tol,
-            ftol=tol,
-        )
-        solves.append(res)
-    start_costs = [2.0 * float(res.cost) for res in solves]
-    best = solves[int(np.argmin(start_costs))]
+
+    def solve(fun, x_start: np.ndarray) -> tuple:
+        res = least_squares(fun, x_start, jac=jacobian, bounds=(-box, box), method="trf",
+                            max_nfev=settings.max_iterations, xtol=tol, ftol=tol)
+        return res.x, 2.0 * float(res.cost), bool(res.status > 0), str(res.message)
+
+    starts = multi_start(lambda x: project(x)[4], solve, np.concatenate([logits0, scales0]),
+                         perturb, settings.n_starts, settings.seed)
 
     # The reported cost, scales and standard errors are taken at the closed-form
     # scales, so residual(problem, params, nuclear, scales) reproduces the cost
     # also when the best start stopped on max_iterations.
-    c_best, p_best = project(best.x)[:2]
+    c_best, p_best = project(starts.x)[:2]
     terms = model.terms(c_best, p_best)
     scales = [s for s, _, _ in terms]
     best_cost = float(sum(r @ r for _, _, r in terms))
@@ -397,12 +384,12 @@ def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitR
         scales=tuple(scales),
         cost=best_cost,
         residual_norm=float(np.sqrt(best_cost)),
-        start_costs=tuple(start_costs),
-        start_converged=tuple(bool(res.status > 0) for res in solves),
-        n_evaluations=n_evals,
-        converged=bool(best.status > 0),
-        seed=problem.settings.seed,
-        message=str(best.message),
+        start_costs=starts.start_costs,
+        start_converged=starts.start_converged,
+        n_evaluations=starts.n_evaluations,
+        converged=starts.converged,
+        seed=settings.seed,
+        message=starts.message,
         stderr_nuclear=stderr,
     )
 

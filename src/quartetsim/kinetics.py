@@ -13,7 +13,9 @@ projected cost (Golub & Pereyra, Inverse Problems 19, R1, 2003): with
 E = C+ D and R = D - C E, df/dtheta = -2 <R, (dC/dtheta) E>, because the
 term in dE/dtheta vanishes at the least-squares optimum E.  Only the small
 concentration matrix C is differentiated, in closed form and in the same
-pass that computes C.
+pass that computes C.  The search runs from each start of the seeded
+multi-start schedule that `fitting` shares; the start with the lowest
+final cost is reported.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import erfc, erfcx
+
+from ._multistart import multi_start
 
 _SQRT2 = np.sqrt(2.0)
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -144,10 +148,7 @@ def _bateman_derivatives(rates: np.ndarray, amp: np.ndarray) -> np.ndarray:
 
 def concentrations(model: SequentialModel, times: np.ndarray) -> np.ndarray:
     """Concentration profiles, shape (n_times, n_compartments)."""
-    delta = np.asarray(times, dtype=float) - model.t0
-    sigma = model.irf_fwhm * _FWHM_TO_SIGMA
-    responses, _ = _exp_responses(delta, model.rates, sigma)
-    return (_bateman_amplitudes(model.rates) @ responses).T
+    return _concentrations_and_jacobian(model, times, False, False)[0]
 
 
 def _concentrations_and_jacobian(
@@ -184,13 +185,7 @@ def _concentrations_and_jacobian(
     return (amp @ f).T, np.concatenate(dconc).transpose(0, 2, 1)
 
 
-@dataclass
-class EASDiagnostics:
-    rank: int
-    condition_number: float
-
-
-def eas_solve(conc: np.ndarray, data: TADataset) -> tuple[np.ndarray, EASDiagnostics]:
+def eas_solve(conc: np.ndarray, data: TADataset) -> np.ndarray:
     """Least-squares EAS for fixed concentration profiles.
 
     Returns the (n_compartments, n_wavelengths) spectra minimizing
@@ -200,13 +195,13 @@ def eas_solve(conc: np.ndarray, data: TADataset) -> tuple[np.ndarray, EASDiagnos
     if c.shape[0] != len(data.times):
         raise ValueError("concentration rows must match the time axis")
     eas, _, rank, sv = np.linalg.lstsq(c, data.delta_a, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if rank < c.shape[1]:
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
         raise ValueError(
             f"rank-deficient concentration matrix (rank {rank} < {c.shape[1]}, "
             f"condition number {cond:.3e})"
         )
-    return eas, EASDiagnostics(rank=int(rank), condition_number=cond)
+    return eas
 
 
 @dataclass(frozen=True)
@@ -269,14 +264,18 @@ def _projected_cost(data: TADataset, init_model: SequentialModel, fit_t0: bool, 
 
     def cost(x: np.ndarray) -> tuple[float, np.ndarray]:
         try:
-            conc, dconc = _concentrations_and_jacobian(unpack(x), data.times, fit_t0, fit_irf)
-            eas, _ = eas_solve(conc, data)
+            with np.errstate(all="ignore"):
+                conc, dconc = _concentrations_and_jacobian(unpack(x), data.times, fit_t0, fit_irf)
+                eas = eas_solve(conc, data)
+                resid = data.delta_a - conc @ eas
+                # <R, dC E> = <R E^T, dC>, contracted over the small n_t x n_c matrix
+                grad = -2.0 * np.tensordot(dconc, resid @ eas.T, axes=2) / scale**2
+                f = float(np.vdot(resid, resid)) / scale**2
         except (ValueError, np.linalg.LinAlgError):
+            f = np.inf
+        if not (np.isfinite(f) and np.isfinite(grad).all()):
             return np.inf, np.zeros(len(x))
-        resid = data.delta_a - conc @ eas
-        # <R, dC E> = <R E^T, dC>, contracted over the small n_t x n_c matrix
-        grad = -2.0 * np.tensordot(dconc, resid @ eas.T, axes=2)
-        return float(np.vdot(resid, resid)) / scale**2, grad / scale**2
+        return f, grad
 
     return x0, unpack, cost
 
@@ -318,59 +317,37 @@ def global_fit(
     x0, unpack, cost = _projected_cost(data, init_model, fit_t0, fit_irf)
     t0_span = max(init_model.irf_fwhm, 10 ** x0[:n_comp].min())
 
-    n_evals = 0
-
-    def counted_cost(x: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal n_evals
-        n_evals += 1
-        return cost(x)
-
-    rng = np.random.default_rng(settings.seed)
-    starts = [x0]
-    for _ in range(settings.n_starts - 1):
+    def perturb(rng: np.random.Generator) -> np.ndarray:
         trial = x0.copy()
         trial[:n_comp] += settings.log10_spread * rng.standard_normal(n_comp)
         if fit_t0:
             trial[n_comp] += 0.2 * t0_span * rng.standard_normal()
-        starts.append(trial)
+        return trial
 
-    best = None
-    start_costs = []
-    start_converged = []
-    for x_start in starts:
-        res = minimize(
-            counted_cost,
-            x_start,
-            jac=True,
-            method="L-BFGS-B",
-            options={
-                "maxiter": settings.max_iterations,
-                "ftol": settings.tolerance,
-                "gtol": settings.tolerance,
-            },
-        )
-        start_costs.append(float(res.fun))
-        start_converged.append(bool(res.success))
-        if best is None or res.fun < best.fun:
-            best = res
+    def solve(fun, x_start: np.ndarray) -> tuple:
+        res = minimize(fun, x_start, jac=True, method="L-BFGS-B", options={
+            "maxiter": settings.max_iterations, "ftol": settings.tolerance, "gtol": settings.tolerance,
+        })
+        return res.x, float(res.fun), bool(res.success), str(res.message)
 
-    fitted = unpack(best.x)
+    starts = multi_start(cost, solve, x0, perturb, settings.n_starts, settings.seed)
+    fitted = unpack(starts.x)
     model = replace(fitted, lifetimes=tuple(sorted(fitted.lifetimes)))
     conc = concentrations(model, data.times)
-    eas, _ = eas_solve(conc, data)
+    eas = eas_solve(conc, data)
     resid = data.delta_a - conc @ eas
     return GlobalFitResult(
         model=model,
         eas=eas,
         concentrations=conc,
         residual_norm=float(np.linalg.norm(resid)),
-        start_costs=tuple(start_costs),
-        start_converged=tuple(start_converged),
-        n_evaluations=n_evals,
-        converged=bool(best.success),
+        start_costs=starts.start_costs,
+        start_converged=starts.start_converged,
+        n_evaluations=starts.n_evaluations,
+        converged=starts.converged,
         flat_objective=False,
         seed=settings.seed,
-        message=str(best.message),
+        message=starts.message,
     )
 
 

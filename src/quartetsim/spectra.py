@@ -946,36 +946,21 @@ def simulate_dimer(
     return Spectrum(sweep.field_axis(), total[0], meta)
 
 
-@dataclass
-class QuartetBasisSpectra:
-    """Per-coefficient, per-nuclear-sublevel basis spectra for fast fitting.
-
-    ``tensor[p, l]`` is the spectrum produced by unit coefficient ``p``
-    (order a1 a2 a3 r1 r2 r3) with all population in nuclear sublevel ``l``.
-    A full simulation is ``einsum('p,l,plf->f', coeffs, nuclear, tensor)``.
-    """
-
-    field_mt: np.ndarray
-    tensor: np.ndarray
-
-    def evaluate(self, params: pol.QuartetPolarizationParams, nuclear: pol.NuclearPopulations | np.ndarray) -> np.ndarray:
-        coeffs = np.array([*params.a, *params.r])
-        p_nuc = nuclear.as_array() if isinstance(nuclear, pol.NuclearPopulations) else np.asarray(nuclear)
-        return np.einsum("p,l,plf->f", coeffs, p_nuc, self.tensor)
-
-
 def quartet_basis_spectra(
     spec: SpinSystemSpec, sweep: FieldSweepConfig, scheme: OrientationScheme
-) -> QuartetBasisSpectra:
-    """Precompute the 6 x 8 basis spectra of the photo-quartet model."""
-    # 48 channels: each unit coefficient (a1 a2 a3 r1 r2 r3) times each
-    # nuclear sublevel.  Spectra are linear in these, so any photo-quartet
-    # polarization is a contraction of the results.
+) -> np.ndarray:
+    """Basis spectra of the photo-quartet model on ``sweep.field_axis()``.
+
+    Returns T, shape (6, 8, n_points): T[p, l] is the spectrum of unit
+    coefficient p (a1 a2 a3 r1 r2 r3) with all population in nuclear
+    sublevel l.  Spectra are linear in these 48 channels, so any
+    photo-quartet spectrum is ``einsum('p,l,plf->f', coeffs, nuclear, T)``.
+    """
     units = [pol.QuartetPolarizationParams(a=c[:3], r=c[3:]) for c in np.eye(6)]
     parts = _dimer_parts(spec, _quartet_channels(spec, units, np.eye(8)))
     orientations, weights = scheme_orientations(scheme)
     total, _ = orientation_average(parts, sweep, orientations, weights, 48)
-    return QuartetBasisSpectra(sweep.field_axis(), total.reshape(6, 8, sweep.n_points))
+    return total.reshape(6, 8, sweep.n_points)
 
 
 def simulate_triplet(
@@ -991,10 +976,9 @@ def simulate_triplet(
     Zero-field states inherit the supplied populations; the principal frame
     of the fine-structure tensor is the molecular frame.
     """
-    if isinstance(populations, pol.TripletZeroFieldPolarization):
-        p = np.asarray(populations.populations)
-    else:
-        p = np.asarray(populations, dtype=float)
+    if not isinstance(populations, pol.TripletZeroFieldPolarization):
+        populations = pol.TripletZeroFieldPolarization(tuple(populations))
+    p = np.asarray(populations.populations)
     ops = spincore.spin_operators(1.0)
     principal = np.array([-zfs_d_mhz / 3 + zfs_e_mhz, -zfs_d_mhz / 3 - zfs_e_mhz, 2 * zfs_d_mhz / 3])
     h0 = sum(principal[c] * ops[c] @ ops[c] for c in range(3))

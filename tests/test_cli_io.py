@@ -505,6 +505,16 @@ def test_cli_simulate_rejects_small_powder_grid(tmp_path, capsys, model, grid_si
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_cli_rejects_negative_triplet_populations(tmp_path, capsys, command):
+    path = tmp_path / "run.cfg"
+    text = TRIPLET_CFG.format(outdir=tmp_path, grid_size=16)
+    path.write_text(text.replace("populations = 0 0 1", "populations = -1 0 0"))
+    assert cli.entry([command, "--config", str(path)]) == 2
+    assert "error: validation: triplet populations must be non-negative" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_simulate_rejects_single_angle_out_of_range(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(_dimer_cfg(tmp_path, "[scheme]\nkind = single\ntheta_deg = 200.0"))
@@ -768,7 +778,8 @@ def _shared_scheme_fit(tmp_path, fit_block):
     scheme = sp.SingleOrientationScheme(math.radians(50.0), math.radians(20.0))
     truth = pol.QuartetPolarizationParams(a=(0.11, -0.002, -0.027), r=(0.0, -0.01, 0.0))
     nuclear = pol.NuclearPopulations((0.146, 0.078, 0.194, 0.126, 0.117, 0.165, 0.078, 0.097))
-    signal = sp.quartet_basis_spectra(system, sweep, scheme).evaluate(truth, nuclear)
+    basis = sp.quartet_basis_spectra(system, sweep, scheme)
+    signal = np.einsum("p,l,plf->f", [*truth.a, *truth.r], nuclear.as_array(), basis)
     rng = np.random.default_rng(5)
     data = []
     for name, gain in (("crystal_a", 1.0), ("crystal_b", 0.5)):

@@ -13,6 +13,7 @@ TABLE_PARAMS = pol.QuartetPolarizationParams(a=(0.11, -0.002, -0.027), r=(0.0, -
 TABLE_NUCLEAR = pol.NuclearPopulations(
     (0.146, 0.078, 0.194, 0.126, 0.117, 0.165, 0.078, 0.097)
 )
+TABLE_COEFFS = np.array([*TABLE_PARAMS.a, *TABLE_PARAMS.r])
 FAST = sp.FieldSweepConfig(n_points=512, search_points=301)
 
 # three single-crystal orientations with distinct polarization-frame angles,
@@ -39,7 +40,7 @@ def _datasets(bases, schemes, noise=0.0, seed=0):
     rng = np.random.default_rng(seed)
     out = []
     for k, (b, scheme) in enumerate(zip(bases, schemes)):
-        signal = b.evaluate(TABLE_PARAMS, TABLE_NUCLEAR)
+        signal = np.einsum("p,l,plf->f", TABLE_COEFFS, TABLE_NUCLEAR.as_array(), b)
         if noise:
             signal = signal + noise * np.abs(signal).max() * rng.standard_normal(len(signal))
         out.append(fit.FitDataset(f"set{k}", sp.Spectrum(axis, signal), scheme))
@@ -292,21 +293,33 @@ def test_unconverged_cost_matches_reported_parameters(system, crystal_bases):
     assert result.cost <= min(result.start_costs)
 
 
-def test_converged_ignores_other_starts(system, crystal_bases, monkeypatch):
+@pytest.mark.parametrize("outcomes, calls, best", [
     # The lowest-cost start stopped early while a worse start converged.
-    outcomes = iter([(1.0, 1), (0.5, 0)])
+    (((1.0, 1), (0.5, 0)), (0, 0), 1),
+    # Equal final costs: the earlier start is reported.
+    (((0.5, 0), (0.5, 1)), (0, 0), 0),
+    # Every residual call of every start counts; Jacobian calls do not.
+    (((1.0, 1), (0.5, 0)), (3, 4), 1),
+], ids=["lowest-cost", "tie", "evaluations"])
+def test_converged_ignores_other_starts(system, crystal_bases, monkeypatch, outcomes, calls, best):
+    script = iter(enumerate(zip(outcomes, calls)))
 
-    def scripted_least_squares(fun, x0, **kwargs):
-        cost, status = next(outcomes)
-        return SimpleNamespace(x=x0, cost=cost, status=status, message="scripted")
+    def scripted_least_squares(fun, x0, jac, **kwargs):
+        start, ((cost, status), n_calls) = next(script)
+        for _ in range(n_calls):
+            fun(x0)
+            jac(x0)
+        return SimpleNamespace(x=x0, cost=cost, status=status, message=f"start {start}")
 
     monkeypatch.setattr(fit, "least_squares", scripted_least_squares)
     datasets = _datasets(crystal_bases[:1], ORIENTATIONS[:1])
     problem = _problem(system, datasets, ("rho_n",), n_starts=2)
     result = fit.fit_simultaneous(problem)
-    assert result.start_costs == (2.0, 1.0)
-    assert result.start_converged == (True, False)
-    assert result.converged is False
+    assert result.start_costs == tuple(2.0 * cost for cost, _ in outcomes)
+    assert result.start_converged == tuple(bool(status) for _, status in outcomes)
+    assert result.message == f"start {best}"
+    assert result.converged is bool(outcomes[best][1])
+    assert result.n_evaluations == sum(calls)
 
 
 def test_prepared_model_matches_problem_calls(system, crystal_bases):
@@ -328,7 +341,7 @@ def _crystal_model(bases, datasets):
     # The data share the basis field axis, so the prepared tensors are the bases'.
     data = tuple(ds.spectrum.intensity for ds in datasets)
     return fit.FitModel(
-        tensors=tuple(b.tensor for b in bases),
+        tensors=tuple(bases),
         data=data,
         norms=tuple(float(np.abs(e).max()) for e in data),
         weights=tuple(ds.weight for ds in datasets),
