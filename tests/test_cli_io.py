@@ -515,6 +515,16 @@ def test_cli_rejects_negative_triplet_populations(tmp_path, capsys, command):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("pad", ["-5", "-200"])
+def test_cli_rejects_negative_search_pad(tmp_path, capsys, command, pad):
+    path = tmp_path / "run.cfg"
+    path.write_text(_dimer_cfg(tmp_path, SINGLE_SCHEME, f"pad_linewidths = {pad}"))
+    assert cli.entry([command, "--config", str(path)]) == 2
+    assert "error: validation: pad_linewidths must be non-negative" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_simulate_rejects_single_angle_out_of_range(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(_dimer_cfg(tmp_path, "[scheme]\nkind = single\ntheta_deg = 200.0"))

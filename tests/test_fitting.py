@@ -14,7 +14,7 @@ TABLE_NUCLEAR = pol.NuclearPopulations(
     (0.146, 0.078, 0.194, 0.126, 0.117, 0.165, 0.078, 0.097)
 )
 TABLE_COEFFS = np.array([*TABLE_PARAMS.a, *TABLE_PARAMS.r])
-FAST = sp.FieldSweepConfig(n_points=512, search_points=301)
+FAST = sp.FieldSweepConfig(n_points=512)
 
 # three single-crystal orientations with distinct polarization-frame angles,
 # enough to separate every coefficient channel cheaply

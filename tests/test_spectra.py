@@ -17,8 +17,8 @@ TABLE_NUCLEAR = pol.NuclearPopulations(
 )
 TABLE_MODEL = pol.PhotoQuartetPolarization(TABLE_PARAMS, TABLE_NUCLEAR)
 
-# coarse but fast sweep for engine-level checks
-FAST_SWEEP = sp.FieldSweepConfig(n_points=512, search_points=301)
+# 512-point field axis for engine-level checks
+FAST_SWEEP = sp.FieldSweepConfig(n_points=512)
 
 
 # ----------------------------------------------------------- configuration
@@ -38,6 +38,9 @@ def test_sweep_config_validation():
         dict(linewidth_mt=0.0),
         dict(search_points=4),
         dict(slope_floor_ghz_per_mt=0.0),
+        dict(slope_floor_ghz_per_mt=math.nan),
+        dict(pad_linewidths=-1.0),
+        dict(pad_linewidths=math.nan),
     ):
         with pytest.raises(ValueError):
             sp.FieldSweepConfig(**kwargs)
@@ -269,6 +272,35 @@ def test_search_matches_dense_reference(weak, theta, phi):
     _assert_same_sticks(sticks, reference, 1e-4)
     y = sp.convolve_lineshape(sticks, default)[0]
     y_ref = sp.convolve_lineshape(reference, dense)[0]
+    assert np.abs(y - y_ref).max() <= 2e-6 * np.abs(y_ref).max()
+
+
+@pytest.mark.parametrize("theta, phi", [(1.53, 0.10), (0.62, 5.74)])
+def test_default_search_only_brackets_strong_exchange(theta, phi):
+    # On the bundled dimer the default grid is fine enough that no bracket
+    # needs a diagonalization at its root.  At 38 points these orientations
+    # polish 3 and 7 of their 256 sticks, and the search slows.
+    scheme = sp.SingleOrientationScheme(theta, phi)
+    spectrum = sp.simulate_dimer(sc.vanadyl_porphyrin_dimer(), TABLE_MODEL, sp.FieldSweepConfig(), scheme)
+    diag = spectrum.metadata["diagnostics"]
+    assert diag["sticks"] > 0
+    assert diag["polished_sticks"] == diag["tie_fallbacks"] == diag["untracked_fallbacks"] == 0
+
+
+@pytest.mark.parametrize("simulator", ["triplet", "cw-doublet"])
+def test_powder_search_matches_dense_reference(simulator):
+    def run(search_points):
+        if simulator == "triplet":
+            sweep = sp.FieldSweepConfig(field_start_mt=280, field_stop_mt=400, n_points=1200,
+                                        linewidth_mt=1.2, search_points=search_points)
+            return sp.simulate_triplet(2.0023, 1153.0, 115.0, (0.0, 0.0, 1.0), sweep, grid_size=16)
+        sweep = sp.FieldSweepConfig(n_points=1600, linewidth_mt=1.5, search_points=search_points)
+        g, a = sc.InteractionTensor((1.985, 1.985, 1.964)), sc.InteractionTensor((162.0, 162.0, 475.0))
+        return sp.simulate_cw_doublet(g, a, sweep, grid_size=16)
+
+    # Measured at 51 points: 1.5e-10 (triplet) and 5.1e-9 (CW doublet) of peak.
+    y = run(sp.FieldSweepConfig.search_points).intensity
+    y_ref = run(1201).intensity
     assert np.abs(y - y_ref).max() <= 2e-6 * np.abs(y_ref).max()
 
 
