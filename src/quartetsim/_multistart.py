@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -40,3 +41,11 @@ def multi_start(fun: Callable, solve: Callable, x0: np.ndarray, perturb: Callabl
     costs = tuple(run[1] for run in runs)
     flags = tuple(run[2] for run in runs)
     return MultiStart(x, converged, message, costs, flags, n_evaluations)
+
+
+def check_settings(settings, spread: str) -> None:
+    """Raise ValueError unless n_starts, max_iterations, tolerance and ``spread`` are finite and > 0."""
+    for name in ("n_starts", "max_iterations", "tolerance", spread):
+        value = getattr(settings, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")

@@ -25,7 +25,7 @@ from scipy.optimize import least_squares
 from scipy.optimize import minimize  # noqa: F401 -- perfbench/tracing.py wraps fitting.minimize
 
 from . import polarization as pol
-from ._multistart import multi_start
+from ._multistart import check_settings, multi_start
 from .spectra import (
     FieldSweepConfig,
     OrientationScheme,
@@ -68,6 +68,9 @@ class FitSettings:
     tolerance: float = 1e-12
     seed: int = 20230
     start_spread: float = 0.05
+
+    def __post_init__(self):
+        check_settings(self, "start_spread")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import erfc, erfcx
 
-from ._multistart import multi_start
+from ._multistart import check_settings, multi_start
 
 _SQRT2 = np.sqrt(2.0)
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
@@ -211,6 +211,9 @@ class KineticFitSettings:
     tolerance: float = 1e-10
     seed: int = 774
     log10_spread: float = 0.15
+
+    def __post_init__(self):
+        check_settings(self, "log10_spread")
 
 
 @dataclass

@@ -12,7 +12,8 @@ a deterministic orientation grid (isotropic powder or a liquid-crystal
 alignment distribution).  One engine, :func:`orientation_average`, does
 this orientation sum for every spectrum: the quartet dimer, its basis
 spectra, the triplet precursor and the CW doublet each supply only their
-Hamiltonian, spin operators and population channels per orientation.
+Hamiltonian, spin operators and population channels per orientation; the
+engine works out the orientations of their scheme and the channel count.
 
 Sign convention: positive intensity is enhanced absorption, negative is
 emission.  With thermal populations every stick amplitude is non-negative.
@@ -281,11 +282,6 @@ class PopulationChannels:
 
 
 @dataclass
-class ThermalChannel:
-    temperature_k: float
-
-
-@dataclass
 class SearchDiagnostics:
     """What the resonance search did, summed over the orientations of a spectrum.
 
@@ -442,9 +438,9 @@ def _populations(channels, h1, evals, evecs, node, level, v, dv):
     """Populations (n, n_channels) of each (node, level) pair and their B-derivatives.
 
     ``v`` and ``dv`` are those levels' eigenvectors and eigenvector
-    derivatives; thermal populations use every level at the node instead.
+    derivatives; Boltzmann populations use every level at the node instead.
     """
-    if isinstance(channels, ThermalChannel):
+    if isinstance(channels, pol.ThermalPolarization):
         slopes = np.einsum("ndk,ndk->nk", evecs.conj(), np.matmul(h1, evecs)).real
         p = pol.thermal_populations(evals, channels.temperature_k)
         beta = PLANCK_J_PER_HZ * 1e6 / (BOLTZMANN_J_PER_K * channels.temperature_k)
@@ -493,7 +489,7 @@ def find_resonances(
     h0: np.ndarray,
     h1: np.ndarray,
     sweep: FieldSweepConfig,
-    channels: PopulationChannels | ThermalChannel,
+    channels: PopulationChannels | pol.ThermalPolarization,
     transverse_ops: tuple[np.ndarray, np.ndarray],
 ) -> tuple[list[Stick], SearchDiagnostics]:
     """Locate all microwave resonances of ``h0 + B h1`` in the sweep window.
@@ -803,23 +799,20 @@ _POOL = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="orientation
 
 
 def orientation_average(
-    parts,
-    sweep: FieldSweepConfig,
-    orientations: list[LabOrientation],
-    weights: np.ndarray,
-    n_channels: int,
+    parts, sweep: FieldSweepConfig, scheme: OrientationScheme
 ) -> tuple[np.ndarray, SearchDiagnostics]:
-    """Weighted sum over orientations of convolved resonance spectra.
+    """Weighted sum over the orientations of ``scheme`` of convolved resonance spectra.
 
     ``parts(orientation)`` returns ``(h0, h1, spin_xyz, channels)``: the
     Hamiltonian ``h0 + B h1`` in MHz (B in mT), the x, y, z spin operators
     whose components transverse to the field drive the transitions, and the
-    population channels for :func:`find_resonances`.  Each orientation
-    gives an ``(n_channels, n_points)`` block, zero where nothing resonates,
-    and the total is ``sum(weight * block)`` in orientation order.
+    population channels (``PopulationChannels`` or ``pol.ThermalPolarization``).
+    Each orientation gives an ``(n_channels, n_points)`` block, zero where
+    nothing resonates, with one row per channel of orientation 0 (one for
+    Boltzmann populations); the total is ``sum(weight * block)`` in order.
 
     Orientations are dealt in turn to the workers, one per CPU the process
-    may use: the calling thread computes every ``_WORKERS``-th orientation
+    may use: the calling thread computes orientations 0, ``_WORKERS``, ...
     and the helper threads the rest, so ``parts`` must be safe to call from
     several threads at once.  The calling thread sums the blocks in
     orientation order, so the result does not depend on the CPU count; at
@@ -828,14 +821,14 @@ def orientation_average(
     after the orientations still queued are cancelled and those running
     have ended.
     """
-    total = np.zeros((n_channels, sweep.n_points))
+    orientations, weights = scheme_orientations(scheme)
     diags = SearchDiagnostics()
 
-    def block(orientation: LabOrientation) -> tuple[np.ndarray | None, SearchDiagnostics]:
+    def block(orientation: LabOrientation):
         h0, h1, spin_xyz, channels = parts(orientation)
         transverse = _transverse_ops(orientation, spin_xyz)
         sticks, diag = find_resonances(h0, h1, sweep, channels, transverse)
-        return (convolve_lineshape(sticks, sweep) if sticks else None), diag
+        return (convolve_lineshape(sticks, sweep) if sticks else None), diag, channels
 
     # The calling thread computes its own orientations here rather than
     # waiting: its memory arena is already grown, so a helper in its place
@@ -850,7 +843,10 @@ def orientation_average(
                 if j % workers:
                     pending.append(_POOL.submit(block, orientations[j]))
             queued = i + window
-            spectrum, diag = pending.popleft().result() if i % workers else block(orientations[i])
+            spectrum, diag, channels = pending.popleft().result() if i % workers else block(orientations[i])
+            if i == 0:
+                n_channels = 1 if isinstance(channels, pol.ThermalPolarization) else len(channels.weights)
+                total = np.zeros((n_channels, sweep.n_points))
             diags.add(diag)
             # Nothing resonates: adding weight * 0 would leave the total as it is.
             if spectrum is not None:
@@ -877,7 +873,7 @@ def _dimer_parts(spec: SpinSystemSpec, channels_at):
 def _model_channels(spec: SpinSystemSpec, model: pol.PolarizationModel):
     """Single population channel of ``model`` as a function of orientation."""
     if isinstance(model, pol.ThermalPolarization):
-        return lambda orientation: ThermalChannel(model.temperature_k)
+        return lambda orientation: model
     nuclear = model.nuclear.as_array()[None, :]
     return _quartet_channels(spec, [model.params], nuclear, model.doublet_populations)
 
@@ -933,6 +929,15 @@ def stick_spectrum(
     return sticks
 
 
+def _simulate(
+    kind: str, parts, sweep: FieldSweepConfig, scheme: OrientationScheme, /, **meta
+) -> Spectrum:
+    """Single-channel spectrum of ``parts``; its metadata adds kind, sweep and diagnostics to ``meta``."""
+    total, diags = orientation_average(parts, sweep, scheme)
+    meta = {"kind": kind, **meta, "sweep": sweep_metadata(sweep), "diagnostics": diags.metadata()}
+    return Spectrum(sweep.field_axis(), total[0], meta)
+
+
 def simulate_dimer(
     spec: SpinSystemSpec,
     model: pol.PolarizationModel,
@@ -940,16 +945,8 @@ def simulate_dimer(
     scheme: OrientationScheme,
 ) -> Spectrum:
     """Full simulation of the coupled-dimer spectrum for one scheme."""
-    orientations, weights = scheme_orientations(scheme)
     parts = _dimer_parts(spec, _model_channels(spec, model))
-    total, diags = orientation_average(parts, sweep, orientations, weights, 1)
-    meta = {
-        "kind": "dimer",
-        "scheme": scheme_metadata(scheme),
-        "sweep": sweep_metadata(sweep),
-        "diagnostics": diags.metadata(),
-    }
-    return Spectrum(sweep.field_axis(), total[0], meta)
+    return _simulate("dimer", parts, sweep, scheme, scheme=scheme_metadata(scheme))
 
 
 def quartet_basis_spectra(
@@ -964,8 +961,7 @@ def quartet_basis_spectra(
     """
     units = [pol.QuartetPolarizationParams(a=c[:3], r=c[3:]) for c in np.eye(6)]
     parts = _dimer_parts(spec, _quartet_channels(spec, units, np.eye(8)))
-    orientations, weights = scheme_orientations(scheme)
-    total, _ = orientation_average(parts, sweep, orientations, weights, 48)
+    total, _ = orientation_average(parts, sweep, scheme)
     return total.reshape(6, 8, sweep.n_points)
 
 
@@ -994,15 +990,7 @@ def simulate_triplet(
         n = orientation.unit_vector()
         return h0, g * BOHR_MHZ_PER_MT * sum(n[c] * ops[c] for c in range(3)), ops, channels
 
-    orientations, weights = scheme_orientations(PowderScheme(grid_size))
-    total, diags = orientation_average(parts, sweep, orientations, weights, 1)
-    meta = {
-        "kind": "triplet",
-        "sweep": sweep_metadata(sweep),
-        "grid_size": grid_size,
-        "diagnostics": diags.metadata(),
-    }
-    return Spectrum(sweep.field_axis(), total[0], meta)
+    return _simulate("triplet", parts, sweep, PowderScheme(grid_size), grid_size=grid_size)
 
 
 def simulate_cw_doublet(
@@ -1022,24 +1010,16 @@ def simulate_cw_doublet(
     i_ops = tuple(np.kron(np.eye(2), op) for op in spincore.spin_operators(3.5))
     h0 = spincore.bilinear(a_tensor.matrix(), i_ops, s_ops)
     g_mat = g_tensor.matrix()
-    thermal = ThermalChannel(temperature_k)
+    thermal = pol.ThermalPolarization(temperature_k)
 
     def parts(orientation: LabOrientation):
         g_row = orientation.unit_vector() @ g_mat
         return h0, BOHR_MHZ_PER_MT * sum(g_row[c] * s_ops[c] for c in range(3)), s_ops, thermal
 
-    orientations, weights = scheme_orientations(PowderScheme(grid_size))
-    total, _ = orientation_average(parts, sweep, orientations, weights, 1)
-    axis = sweep.field_axis()
-    derivative = np.gradient(total[0], axis)
-    meta = {
-        "kind": "cw-doublet",
-        "sweep": sweep_metadata(sweep),
-        "grid_size": grid_size,
-        "temperature_k": temperature_k,
-        "derivative": True,
-    }
-    return Spectrum(axis, derivative, meta)
+    spectrum = _simulate("cw-doublet", parts, sweep, PowderScheme(grid_size), grid_size=grid_size,
+                         temperature_k=temperature_k, derivative=True)
+    spectrum.intensity = np.gradient(spectrum.intensity, spectrum.field_mt)
+    return spectrum
 
 
 def sweep_metadata(sweep: FieldSweepConfig) -> dict:

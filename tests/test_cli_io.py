@@ -489,6 +489,11 @@ def test_cli_simulate_triplet_and_cw(tmp_path, capsys):
     assert np.abs(trip.intensity).max() > 0
     cw_meta = json.loads((tmp_path / "cw.meta.json").read_text())
     assert cw_meta["derivative"] is True
+    # Both records carry the search diagnostics, under the six keys of the dimer's.
+    keys = set(sp.SearchDiagnostics().metadata())
+    for name in ("trip", "cw"):
+        diagnostics = json.loads((tmp_path / f"{name}.meta.json").read_text())["diagnostics"]
+        assert set(diagnostics) == keys and diagnostics["sticks"] > 0, name
     assert "dI/dB" in (tmp_path / "cw.gp").read_text()
 
 

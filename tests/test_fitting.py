@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -73,6 +74,20 @@ def test_problem_validation(system, crystal_bases):
     problem = _problem(system, datasets, ("a1", "rho_n", "a3"))
     assert problem.free_coefficients == ("a1", "a3")
     assert problem.fits_nuclear
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_starts", 0),
+    ("n_starts", -2),
+    ("max_iterations", 0),
+    ("tolerance", -1.0),
+    ("tolerance", math.nan),
+    ("start_spread", 0.0),
+    ("start_spread", math.inf),
+])
+def test_settings_validation(name, value):
+    with pytest.raises(ValueError, match=name):
+        fit.FitSettings(**{name: value})
 
 
 def test_dataset_validation():

@@ -100,6 +100,20 @@ def test_model_validation():
         kin.SequentialModel((1.0, 1.0 + 1e-12))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_starts", 0),
+    ("n_starts", -3),
+    ("max_iterations", 0),
+    ("tolerance", -1.0),
+    ("tolerance", math.inf),
+    ("log10_spread", 0.0),
+    ("log10_spread", math.nan),
+])
+def test_settings_validation(name, value):
+    with pytest.raises(ValueError, match=name):
+        kin.KineticFitSettings(**{name: value})
+
+
 def test_dataset_validation():
     t = np.linspace(0, 10, 20)
     w = np.linspace(400, 700, 30)

@@ -112,7 +112,7 @@ def _doublet_search(g_z, a_z, sweep):
     h1 = g_z * 13.9962449361 * np.kron(sz, np.eye(8))
     sa = np.kron(sx, np.eye(8))
     sb = np.kron(sy, np.eye(8))
-    return sp.find_resonances(h0, h1, sweep, sp.ThermalChannel(295.0), (sa, sb))
+    return sp.find_resonances(h0, h1, sweep, pol.ThermalPolarization(295.0), (sa, sb))
 
 
 def test_isolated_doublet_resonance_field():
@@ -202,7 +202,7 @@ def test_double_crossing_inside_one_grid_step():
     sweep = sp.FieldSweepConfig(
         field_start_mt=300.0, field_stop_mt=380.0, search_points=41, slope_floor_ghz_per_mt=1e-6
     )
-    sticks, diag = sp.find_resonances(h0, h1, sweep, sp.ThermalChannel(1.0), (sx, sy))
+    sticks, diag = sp.find_resonances(h0, h1, sweep, pol.ThermalPolarization(1.0), (sx, sy))
     assert_allclose([s.field_mt for s in sticks], [b_min - half, b_min + half], atol=1e-6)
     assert all(s.amplitude > 0 for s in sticks)
     assert diag.n_subdivided > 0 and diag.n_sticks == 2
@@ -236,7 +236,7 @@ def test_tie_fallback_at_exact_crossing_on_a_grid_node():
     h1 = (5700.0 * u @ np.diag([-1.0, 0.3, 1.0]) @ u.T).astype(complex)
     h0 = -308.0 * h1
     sticks, diag = sp.find_resonances(
-        h0, h1, FALLBACK_SWEEP, sp.ThermalChannel(1.0), sc.spin_operators(1.0)[:2]
+        h0, h1, FALLBACK_SWEEP, pol.ThermalPolarization(1.0), sc.spin_operators(1.0)[:2]
     )
     assert diag.n_tie_fallback > 0
     # |B - 308| * 5700 * (m_j - m_i) = 9500 for each of the three level pairs.
@@ -253,7 +253,7 @@ def test_untracked_fallback_at_crossing_inside_one_grid_step():
     h1 = np.diag([0.0, -500.0, 50.0]).astype(complex)
     h0 = np.diag([0.0, 9900.0, 9730.0]).astype(complex) - 307.0 * h1
     sticks, diag = sp.find_resonances(
-        h0, h1, FALLBACK_SWEEP, sp.ThermalChannel(1.0), sc.spin_operators(1.0)[:2]
+        h0, h1, FALLBACK_SWEEP, pol.ThermalPolarization(1.0), sc.spin_operators(1.0)[:2]
     )
     assert diag.n_untracked_fallback > 0
     assert [(s.lower, s.upper) for s in sticks] == [(0, 1)]
@@ -561,15 +561,14 @@ def workers(monkeypatch):
 
 def _photo_powder16():
     spec = sc.vanadyl_porphyrin_dimer()
-    orientations, weights = sp.scheme_orientations(sp.PowderScheme(16))
-    return sp._dimer_parts(spec, sp._model_channels(spec, TABLE_MODEL)), orientations, weights
+    return sp._dimer_parts(spec, sp._model_channels(spec, TABLE_MODEL)), sp.PowderScheme(16)
 
 
 @pytest.mark.parametrize("n_channels", [1, 48])
 def test_average_does_not_depend_on_worker_count(workers, n_channels):
     # The dimer's 16-orientation powder, with the single photo channel of
     # simulate_dimer and with the 48 channels of quartet_basis_spectra.
-    parts, orientations, weights = _photo_powder16()
+    parts, scheme = _photo_powder16()
     if n_channels == 48:
         spec = sc.vanadyl_porphyrin_dimer()
         units = [pol.QuartetPolarizationParams(a=c[:3], r=c[3:]) for c in np.eye(6)]
@@ -577,7 +576,7 @@ def test_average_does_not_depend_on_worker_count(workers, n_channels):
     runs = []
     for n in (max(sp._WORKERS, 3), 1):
         workers(n)
-        runs.append(sp.orientation_average(parts, FAST_SWEEP, orientations, weights, n_channels))
+        runs.append(sp.orientation_average(parts, FAST_SWEEP, scheme))
     (total, diag), (serial_total, serial_diag) = runs
     assert total.shape == (n_channels, FAST_SWEEP.n_points)
     assert total.tobytes() == serial_total.tobytes()
@@ -589,18 +588,19 @@ def test_worker_error_raises_from_the_average(workers, bad):
     # One orientation raises: on two workers, orientation 4 is the calling
     # thread's and 5 the helper's.  The next call succeeds.
     workers(2)
-    parts, orientations, weights = _photo_powder16()
+    parts, scheme = _photo_powder16()
+    bad_orientation = sp.scheme_orientations(scheme)[0][bad]
 
     def failing_parts(orientation):
-        if orientation is orientations[bad]:
+        if orientation == bad_orientation:
             raise np.linalg.LinAlgError("eigenvalues did not converge")
         return parts(orientation)
 
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        sp.orientation_average(failing_parts, FAST_SWEEP, orientations, weights, 1)
-    total, diag = sp.orientation_average(parts, FAST_SWEEP, orientations, weights, 1)
+        sp.orientation_average(failing_parts, FAST_SWEEP, scheme)
+    total, diag = sp.orientation_average(parts, FAST_SWEEP, scheme)
     workers(1)
-    serial_total, serial_diag = sp.orientation_average(parts, FAST_SWEEP, orientations, weights, 1)
+    serial_total, serial_diag = sp.orientation_average(parts, FAST_SWEEP, scheme)
     assert total.tobytes() == serial_total.tobytes() and diag == serial_diag
 
 
