@@ -42,16 +42,6 @@ class NonConvergence(RuntimeError):
     """Optimizer stopped without meeting its tolerance."""
 
 
-def _validated(fn):
-    # Builder-stage ValueError means bad user input, not a numerics problem.
-    try:
-        return fn()
-    except configio.ConfigError:
-        raise
-    except ValueError as exc:
-        raise configio.ConfigError([str(exc)]) from exc
-
-
 def _compute(fn):
     try:
         return fn()
@@ -59,18 +49,22 @@ def _compute(fn):
         raise NumericalError(str(exc)) from exc
 
 
-def _out_paths(cfg: configio.RunConfig, override_dir: str | None) -> tuple[str, str, bool]:
+def _out_paths(cfg: configio.RunConfig, override_dir: str | None) -> tuple[str, bool]:
+    """The path stem of every output, and whether to write plot scripts."""
     out_dir, prefix, want_plot = cfg.output_paths()
-    if override_dir:
-        out_dir = override_dir
+    out_dir = override_dir or out_dir
     os.makedirs(out_dir, exist_ok=True)
-    return out_dir, prefix, want_plot
+    return os.path.join(out_dir, prefix), want_plot
 
 
-def _write_report(path: str, report: str, manifest: dataio.RunManifest) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report + "\n")
+def _save(manifest: dataio.RunManifest, path: str, write, *args) -> None:
+    write(path, *args)
     manifest.add_output(path)
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
 
 
 # ------------------------------------------------------------- simulate
@@ -86,21 +80,19 @@ _SIMULATE_SECTIONS = {
 def _cmd_simulate(args) -> int:
     cfg = configio.parse_config(args.config)
     configio.require_sections(cfg, *_SIMULATE_SECTIONS[cfg.model])
-    sweep = _validated(cfg.build_sweep)
+    sweep = cfg.build_sweep()
     manifest = dataio.RunManifest("simulate", args.config)
 
     if cfg.model == "quartet-dimer":
-        system = _validated(cfg.build_system)
-        model = _validated(cfg.build_polarization)
-        scheme = _validated(cfg.build_scheme)
+        system, model, scheme = cfg.build_system(), cfg.build_polarization(), cfg.build_scheme()
         spectrum = _compute(lambda: sp.simulate_dimer(system, model, sweep, scheme))
     else:
         # The [system] and [polarization] keys of these models name the
         # parameters of their simulate functions.
-        grid_size = _validated(lambda: cfg.build_scheme("powder")).grid_size
+        grid_size = cfg.build_scheme("powder").grid_size
         s, polar = cfg.sections["system"], cfg.sections.get("polarization", {})
         if cfg.model == "triplet":
-            populations = _validated(cfg.build_polarization)
+            populations = cfg.build_polarization()
             spectrum = _compute(lambda: sp.simulate_triplet(
                 **s, populations=populations, sweep=sweep, grid_size=grid_size))
         else:
@@ -110,28 +102,31 @@ def _cmd_simulate(args) -> int:
     if not np.all(np.isfinite(spectrum.intensity)):
         raise NumericalError("simulation produced non-finite intensities")
 
-    out_dir, prefix, want_plot = _out_paths(cfg, args.out_dir)
-    csv_path = os.path.join(out_dir, prefix + ".csv")
-    dataio.save_spectrum_csv(csv_path, spectrum)
-    manifest.add_output(csv_path)
-    meta_path = os.path.join(out_dir, prefix + ".meta.json")
-    dataio.save_metadata(meta_path, {"model": cfg.model, **spectrum.metadata})
-    manifest.add_output(meta_path)
+    stem, want_plot = _out_paths(cfg, args.out_dir)
+    _save(manifest, stem + ".csv", dataio.save_spectrum_csv, spectrum)
+    _save(manifest, stem + ".meta.json", dataio.save_metadata, {"model": cfg.model, **spectrum.metadata})
     if want_plot:
-        plot_path = os.path.join(out_dir, prefix + ".gp")
         derivative = bool(spectrum.metadata.get("derivative", False))
-        dataio.write_plot_script(plot_path, prefix + ".csv", cfg.model, derivative)
-        manifest.add_output(plot_path)
-    manifest.write(os.path.join(out_dir, prefix + ".manifest.json"))
-    print(f"wrote {csv_path}")
+        _save(manifest, stem + ".gp", dataio.write_plot_script,
+              os.path.basename(stem) + ".csv", cfg.model, derivative)
+    manifest.write(stem + ".manifest.json")
+    print(f"wrote {stem}.csv")
     return EXIT_OK
 
 
 # ------------------------------------------------------------ fit-trepr
 
 
-def _fit_settings(cfg: configio.RunConfig) -> fitting.FitSettings:
-    return fitting.FitSettings(**configio._fields_from(fitting.FitSettings, cfg.sections["fit"]))
+def _fit_start(cfg: configio.RunConfig) -> tuple[pol.PhotoQuartetPolarization, fitting.FitSettings]:
+    """Start values and solver settings; raises on any config fit-trepr rejects before computing."""
+    if cfg.model != "quartet-dimer":
+        raise configio.ConfigError(["fit-trepr requires model = quartet-dimer"])
+    scheme_section = () if cfg.get("fit", "schemes") else ("scheme",)
+    configio.require_sections(cfg, "system", "polarization", "sweep", "fit", *scheme_section)
+    start = cfg.build_polarization()
+    if not isinstance(start, pol.PhotoQuartetPolarization):
+        raise configio.ConfigError(["[polarization] kind: fit-trepr needs photo start values"])
+    return start, fitting.FitSettings(**configio._fields_from(fitting.FitSettings, cfg.sections["fit"]))
 
 
 def _fit_schemes(cfg: configio.RunConfig, n_data: int) -> list[sp.OrientationScheme]:
@@ -140,25 +135,17 @@ def _fit_schemes(cfg: configio.RunConfig, n_data: int) -> list[sp.OrientationSch
         if n_data != 1:
             raise configio.ConfigError(
                 ["[fit] schemes: required when fitting more than one data file"])
-        configio.require_sections(cfg, "scheme")
-        return [_validated(cfg.build_scheme)]
+        return [cfg.build_scheme()]
     if len(tokens) != n_data:
         raise configio.ConfigError(
             [f"[fit] schemes: {len(tokens)} entries for {n_data} data files"])
-    return [_validated(lambda kind=k: cfg.build_scheme(kind)) for k in tokens]
+    return [cfg.build_scheme(kind) for kind in tokens]
 
 
 def _cmd_fit_trepr(args) -> int:
     cfg = configio.parse_config(args.config)
-    if cfg.model != "quartet-dimer":
-        raise configio.ConfigError(["fit-trepr requires model = quartet-dimer"])
-    configio.require_sections(cfg, "system", "polarization", "sweep", "fit")
-    start = _validated(cfg.build_polarization)
-    if not isinstance(start, pol.PhotoQuartetPolarization):
-        raise configio.ConfigError(["[polarization] kind: fit-trepr needs photo start values"])
-
-    system = _validated(cfg.build_system)
-    sweep = _validated(cfg.build_sweep)
+    start, settings = _fit_start(cfg)
+    system, sweep = cfg.build_system(), cfg.build_sweep()
     schemes = _fit_schemes(cfg, len(args.data))
     fit_sec = cfg.sections["fit"]
     weights = [{"weight": w} for w in fit_sec.get("weights", ())] or [{}] * len(schemes)
@@ -169,34 +156,33 @@ def _cmd_fit_trepr(args) -> int:
         spectrum = dataio.load_spectrum_csv(path)
         manifest.add_input(path)
         name = os.path.splitext(os.path.basename(path))[0]
-        datasets.append(_validated(lambda: fitting.FitDataset(name, spectrum, scheme, **weight)))
+        datasets.append(fitting.FitDataset(name, spectrum, scheme, **weight))
 
-    problem = _validated(lambda: fitting.FitProblem(
+    problem = fitting.FitProblem(
         system=system,
         sweep=sweep,
         datasets=tuple(datasets),
         start_params=start.params,
         start_nuclear=start.nuclear,
         free=fit_sec["free"],
-        settings=_fit_settings(cfg),
-    ))
+        settings=settings,
+    )
     model = _compute(lambda: fitting.FitModel.build(problem))
     result = _compute(lambda: fitting.fit_simultaneous(problem, model))
+    best = _compute(lambda: fitting.evaluate_model(
+        problem, result.params, result.nuclear, result.scales, model))
     report = fitting.fit_report(problem, result)
     print(report)
 
-    out_dir, prefix, want_plot = _out_paths(cfg, args.out_dir)
-    _write_report(os.path.join(out_dir, prefix + "_fit_report.txt"), report, manifest)
-    best = fitting.evaluate_model(problem, result.params, result.nuclear, result.scales, model)
-    for ds, model_curve in zip(problem.datasets, best):
-        path = os.path.join(out_dir, f"{prefix}_fit_{ds.name}.csv")
-        dataio.save_spectrum_csv(path, sp.Spectrum(ds.spectrum.field_mt, model_curve))
-        manifest.add_output(path)
+    stem, want_plot = _out_paths(cfg, args.out_dir)
+    _save(manifest, stem + "_fit_report.txt", _write_text, report)
+    for ds, curve in zip(problem.datasets, best):
+        csv_path = f"{stem}_fit_{ds.name}.csv"
+        _save(manifest, csv_path, dataio.save_spectrum_csv, sp.Spectrum(ds.spectrum.field_mt, curve))
         if want_plot:
-            plot_path = os.path.join(out_dir, f"{prefix}_fit_{ds.name}.gp")
-            dataio.write_plot_script(plot_path, os.path.basename(path), f"fit: {ds.name}")
-            manifest.add_output(plot_path)
-    manifest.write(os.path.join(out_dir, prefix + "_fit.manifest.json"))
+            _save(manifest, f"{stem}_fit_{ds.name}.gp", dataio.write_plot_script,
+                  os.path.basename(csv_path), f"fit: {ds.name}")
+    manifest.write(stem + "_fit.manifest.json")
     if not result.converged:
         raise NonConvergence(result.message or "fit did not converge")
     return EXIT_OK
@@ -209,8 +195,7 @@ def _cmd_fit_ta(args) -> int:
     cfg = configio.parse_config(args.config)
     configio.require_sections(cfg, "kinetics")
     k = cfg.sections["kinetics"]
-    model0 = _validated(cfg.build_kinetic_model)
-    settings = _validated(cfg.kinetic_settings)
+    model0, settings = cfg.build_kinetic_model(), cfg.kinetic_settings()
 
     data, unit = dataio.load_ta_csv(args.data)
     manifest = dataio.RunManifest("fit-ta", args.config)
@@ -221,15 +206,12 @@ def _cmd_fit_ta(args) -> int:
     report = kin.kinetic_report(result, time_unit="ps")
     print(report)
 
-    out_dir, prefix, _ = _out_paths(cfg, args.out_dir)
-    _write_report(os.path.join(out_dir, prefix + "_kinetics.txt"), report, manifest)
-    eas_path = os.path.join(out_dir, prefix + "_eas.csv")
-    dataio.save_eas_csv(eas_path, data.wavelengths, result.eas)
-    manifest.add_output(eas_path)
-    conc_path = os.path.join(out_dir, prefix + "_concentrations.csv")
-    dataio.save_concentrations_csv(conc_path, data.times, result.concentrations, time_unit=unit)
-    manifest.add_output(conc_path)
-    manifest.write(os.path.join(out_dir, prefix + "_ta.manifest.json"))
+    stem, _ = _out_paths(cfg, args.out_dir)
+    _save(manifest, stem + "_kinetics.txt", _write_text, report)
+    _save(manifest, stem + "_eas.csv", dataio.save_eas_csv, data.wavelengths, result.eas)
+    _save(manifest, stem + "_concentrations.csv", dataio.save_concentrations_csv,
+          data.times, result.concentrations, unit)
+    manifest.write(stem + "_ta.manifest.json")
     if not result.converged:
         raise NonConvergence(result.message or "kinetic fit did not converge")
     return EXIT_OK
@@ -239,8 +221,7 @@ def _cmd_fit_ta(args) -> int:
 
 
 def _cmd_dipole(args) -> int:
-    d = _validated(lambda: spincore.point_dipole_coupling(args.r_nm, args.g1, args.g2))
-    print(f"{d:.6f}")
+    print(f"{spincore.point_dipole_coupling(args.r_nm, args.g1, args.g2):.6f}")
     return EXIT_OK
 
 
@@ -258,7 +239,7 @@ def _section_builds(cfg: configio.RunConfig) -> list:
         if cfg.model == "triplet" and cfg.has("polarization"):
             builds.append(cfg.build_polarization)
     if cfg.has("fit"):
-        builds.append(lambda: _fit_settings(cfg))
+        builds.append(lambda: _fit_start(cfg))
         builds += [lambda kind=kind: cfg.build_scheme(kind) for kind in cfg.get("fit", "schemes", ())]
     if cfg.has("kinetics"):
         builds += [cfg.build_kinetic_model, cfg.kinetic_settings]
@@ -270,14 +251,16 @@ def _cmd_validate(args) -> int:
     violations = []
     for build in _section_builds(cfg):
         try:
-            _validated(build)
+            build()
         except configio.ConfigError as exc:
             violations += exc.violations
+        except ValueError as exc:
+            violations.append(str(exc))
     if violations:
         raise configio.ConfigError(violations)
     print(f"config ok: model = {cfg.model}")
     if cfg.model == "quartet-dimer" and cfg.has("system"):
-        system = _validated(cfg.build_system)
+        system = cfg.build_system()
         field = 340.0
         if cfg.has("sweep"):
             s = cfg.sections["sweep"]
@@ -341,7 +324,9 @@ def entry(argv: list[str] | None = None) -> int:
         for line in exc.violations:
             print(f"error: validation: {line}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (dataio.DataError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        # Computation runs inside _compute, so a ValueError here is bad input:
+        # a builder, a data file, or a library constructor's check.
         print(f"error: validation: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

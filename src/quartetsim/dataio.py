@@ -51,6 +51,22 @@ def _fmt(x: float) -> str:
     return FLOAT_FMT % float(x)
 
 
+def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+    """One header row, then one row per entry of the column arrays (2-D ones add their columns)."""
+    table = np.column_stack(columns)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([FLOAT_FMT % v for v in row] for row in table.tolist())
+
+
+def _time_scale(unit: str, where: str = "") -> float:
+    """Picoseconds per ``unit``; ``where`` prefixes the error message."""
+    if unit not in TIME_UNITS_PS:
+        raise DataError(f"{where}unknown time unit {unit!r}; use one of {sorted(TIME_UNITS_PS)}")
+    return TIME_UNITS_PS[unit]
+
+
 def sha256_file(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -63,11 +79,7 @@ def sha256_file(path: str) -> str:
 
 
 def save_spectrum_csv(path: str, spectrum: Spectrum) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["field_mT", "intensity"])
-        for b, y in zip(spectrum.field_mt, spectrum.intensity):
-            writer.writerow([_fmt(b), _fmt(y)])
+    _write_csv(path, ["field_mT", "intensity"], [spectrum.field_mt, spectrum.intensity])
 
 
 def _read_rows(path: str) -> _Rows:
@@ -148,14 +160,8 @@ def save_metadata(path: str, metadata: dict) -> None:
 
 
 def save_ta_csv(path: str, data: TADataset, time_unit: str = "ps") -> None:
-    if time_unit not in TIME_UNITS_PS:
-        raise DataError(f"unknown time unit {time_unit!r}; use one of {sorted(TIME_UNITS_PS)}")
-    scale = TIME_UNITS_PS[time_unit]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"time_{time_unit}"] + [_fmt(w) for w in data.wavelengths])
-        for t, row in zip(data.times, data.delta_a):
-            writer.writerow([_fmt(t / scale)] + [_fmt(v) for v in row])
+    times = np.asarray(data.times) / _time_scale(time_unit)
+    _write_csv(path, [f"time_{time_unit}"] + [_fmt(w) for w in data.wavelengths], [times, data.delta_a])
 
 
 def load_ta_csv(path: str) -> tuple[TADataset, str]:
@@ -170,10 +176,7 @@ def load_ta_csv(path: str) -> tuple[TADataset, str]:
     if not header[0].startswith("time_"):
         raise DataError(f"row {header_no}: first header cell must be 'time_<unit>'")
     unit = header[0][len("time_"):]
-    if unit not in TIME_UNITS_PS:
-        raise DataError(
-            f"row {header_no}: unknown time unit {unit!r}; use one of {sorted(TIME_UNITS_PS)}"
-        )
+    scale = _time_scale(unit, f"row {header_no}: ")
     wavelengths = np.array([_cell(header, i, header_no) for i in range(1, len(header))])
     if len(wavelengths) < 1:
         raise DataError(f"row {header_no}: no wavelength columns")
@@ -183,31 +186,21 @@ def load_ta_csv(path: str) -> tuple[TADataset, str]:
     if len(values) < 2:
         raise DataError("need at least 2 time rows")
     _check_increasing(rows[1:], values[:, 0], "time")
-    data = TADataset(values[:, 0] * TIME_UNITS_PS[unit], wavelengths, values[:, 1:].copy())
+    data = TADataset(values[:, 0] * scale, wavelengths, values[:, 1:].copy())
     return data, unit
 
 
 def save_eas_csv(path: str, wavelengths: np.ndarray, eas: np.ndarray) -> None:
     """Evolution-associated spectra, one column per compartment."""
     eas = np.atleast_2d(np.asarray(eas, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["wavelength_nm"] + [f"eas_{k + 1}" for k in range(eas.shape[0])])
-        for j, w in enumerate(wavelengths):
-            writer.writerow([_fmt(w)] + [_fmt(eas[k, j]) for k in range(eas.shape[0])])
+    _write_csv(path, ["wavelength_nm"] + [f"eas_{k + 1}" for k in range(len(eas))], [wavelengths, eas.T])
 
 
 def save_concentrations_csv(path: str, times_ps: np.ndarray, conc: np.ndarray,
                             time_unit: str = "ps") -> None:
-    if time_unit not in TIME_UNITS_PS:
-        raise DataError(f"unknown time unit {time_unit!r}; use one of {sorted(TIME_UNITS_PS)}")
-    scale = TIME_UNITS_PS[time_unit]
+    times = np.asarray(times_ps) / _time_scale(time_unit)
     conc = np.atleast_2d(np.asarray(conc, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"time_{time_unit}"] + [f"c_{k + 1}" for k in range(conc.shape[1])])
-        for i, t in enumerate(times_ps):
-            writer.writerow([_fmt(t / scale)] + [_fmt(v) for v in conc[i]])
+    _write_csv(path, [f"time_{time_unit}"] + [f"c_{k + 1}" for k in range(conc.shape[1])], [times, conc])
 
 
 # -------------------------------------------------------------- manifest

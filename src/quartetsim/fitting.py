@@ -91,6 +91,11 @@ class FitProblem:
         unknown = [n for n in self.free if n not in FREE_NAMES]
         if unknown:
             raise ValueError(f"unknown free parameter names: {unknown}")
+        names = [ds.name for ds in self.datasets]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            # each dataset's best-fit curve is written under its name
+            raise ValueError(f"dataset names must be distinct; repeated: {', '.join(repeated)}")
 
     @property
     def free_coefficients(self) -> tuple[str, ...]:

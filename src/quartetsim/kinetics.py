@@ -47,8 +47,10 @@ class SequentialModel:
             raise ValueError(f"1..{MAX_COMPARTMENTS} compartments supported")
         if any(not np.isfinite(tau) or tau <= 0 for tau in self.lifetimes):
             raise ValueError("lifetimes must be positive and finite")
-        if self.irf_fwhm < 0:
-            raise ValueError("irf_fwhm must be >= 0")
+        if not (np.isfinite(self.irf_fwhm) and self.irf_fwhm >= 0):
+            raise ValueError("irf_fwhm must be finite and >= 0")
+        if not np.isfinite(self.t0):
+            raise ValueError("t0 must be finite")
         taus = np.asarray(self.lifetimes)
         for i in range(len(taus)):
             for j in range(i + 1, len(taus)):

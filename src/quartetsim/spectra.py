@@ -73,8 +73,8 @@ class FieldSweepConfig:
     def __post_init__(self):
         if not (math.isfinite(self.mw_frequency_ghz) and self.mw_frequency_ghz > 0):
             raise ValueError("microwave frequency must be positive")
-        if not (self.field_stop_mt > self.field_start_mt >= 0):
-            raise ValueError("field window must satisfy 0 <= start < stop")
+        if not (math.isfinite(self.field_stop_mt) and self.field_stop_mt > self.field_start_mt >= 0):
+            raise ValueError("field window must be finite with 0 <= start < stop")
         if self.n_points < 2:
             raise ValueError("n_points must be at least 2")
         if self.lineshape not in LINESHAPES:

@@ -568,6 +568,97 @@ def test_solver_settings_checked_at_parse_time(tmp_path, capsys, command, block,
     assert "error: validation: [output] plot_script: must be a boolean" in err
 
 
+FIT_BLOCK = "\n[fit]\nfree = a2\n"
+TA_TEXT = "time_ps,500,510\n0,1,2\n1,2,3\n2,3,4\n"
+
+
+@pytest.mark.parametrize("command, old, new, code, message", [
+    ("fit-trepr --data one.csv", "free = a2", "free = a2\nschemes = single single", 2,
+     "[fit] schemes: 2 entries for 1 data files"),
+    ("fit-trepr --data one.csv two.csv", "free = a2", "free = a2", 2,
+     "[fit] schemes: required when fitting more than one data file"),
+    ("simulate", "linewidth_mt = 1.8", "linewidth_mt = 1.8\nlineshape = voigt", 2,
+     "[sweep] lineshape: must be one of lorentzian, gaussian; got 'voigt'"),
+    ("simulate", "mw_frequency_ghz = 9.5", "mw_frequency_ghz = inf", 2,
+     "[sweep] mw_frequency_ghz: must be finite"),
+    ("simulate", "g_vo = 1.985 1.985", "g_vo = 1.985 x", 2,
+     "[system] g_vo: must be space-separated numbers; got '1.985 x 1.964'"),
+    ("simulate", "g_vo = 1.985 1.985", "g_vo = 1.985 nan", 2, "[system] g_vo: entries must be finite"),
+    ("fit-trepr --data one.csv", "free = a2", "free =", 2, "[fit] free: must not be empty"),
+    ("fit-trepr --data one.csv", "free = a2", "free = a2 a9", 2, "[fit] free: unknown entries ['a9']"),
+    ("validate", "[meta]", "stray text\n[meta]", 2, "not parseable as INI"),
+    ("simulate", "a = 0.11 -0.002 -0.027\n", "", 2, "[polarization] a: required for kind = photo"),
+    ("simulate", "kind = photo", "kind = thermal", 2,
+     "[polarization] temperature_k: required for kind = thermal"),
+    ("simulate", "rho_n = 0.146 0.078", "rho_n = 0.346 -0.122", 2,
+     "[polarization] rho_n: entries must be non-negative"),
+    ("fit-trepr --data one.csv", "free = a2", "free = a2\nweights = 1.0", 2,
+     "[fit] weights: requires schemes"),
+    ("fit-trepr --data one.csv", "free = a2", "free = a2\nschemes = single\nweights = -1.0", 2,
+     "[fit] weights: must be > 0"),
+    ("fit-ta --data ta.csv", "lifetimes_ps = 3.0 100.0", "lifetimes_ps = 1 2 3 4 5", 2,
+     "[kinetics] lifetimes_ps: 1..4 entries supported"),
+    ("fit-ta --data ta.csv", "lifetimes_ps = 3.0 100.0", "lifetimes_ps = 3.0 -100.0", 2,
+     "[kinetics] lifetimes_ps: must be > 0"),
+    ("fit-ta --data ta.csv", TA_TEXT, "", 2, "row 1: empty file"),
+    ("fit-ta --data ta.csv", TA_TEXT, "time_ps\n0\n1\n", 2, "row 1: no wavelength columns"),
+    ("fit-ta --data ta.csv", TA_TEXT, "time_ps,500,510\n0,1,2\n", 2, "need at least 2 time rows"),
+], ids=["fit-schemes-count", "fit-schemes-required", "str-choice", "non-finite-number",
+        "floats-text", "floats-non-finite", "tokens-empty", "tokens-unknown", "not-ini",
+        "photo-needs-a", "thermal-needs-temperature", "rho_n-negative", "weights-need-schemes",
+        "weights-positive", "lifetimes-count", "lifetimes-sign", "ta-empty", "ta-no-wavelengths",
+        "ta-one-row"])
+def test_cli_rejections(tmp_path, capsys, command, old, new, code, message):
+    # Each edit is made to the config or to the TA map, whichever holds `old`.
+    cfg_text = _dimer_cfg(tmp_path, SINGLE_SCHEME) + FIT_BLOCK + "\n[kinetics]\nlifetimes_ps = 3.0 100.0\n"
+    assert (old in cfg_text) != (old in TA_TEXT)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text.replace(old, new))
+    (tmp_path / "ta.csv").write_text(TA_TEXT.replace(old, new))
+    argv = [str(tmp_path / w) if w.endswith(".csv") else w for w in command.split()]
+    assert cli.entry([*argv, "--config", str(cfg)]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert any(line.startswith(f"error: validation: {message}") for line in lines), lines
+    assert not list(tmp_path.glob("demo*"))
+
+
+def _fit_trepr_rejected(tmp_path, case):
+    """A config that fit-trepr rejects before computing, and its message."""
+    if case == "thermal-start":
+        text = _dimer_cfg(tmp_path, SINGLE_SCHEME).replace("kind = photo", "kind = thermal\ntemperature_k = 85")
+        return text + FIT_BLOCK, "[polarization] kind: fit-trepr needs photo start values"
+    if case == "triplet":
+        return (TRIPLET_CFG.format(outdir=tmp_path, grid_size=16) + FIT_BLOCK,
+                "fit-trepr requires model = quartet-dimer")
+    return _dimer_cfg(tmp_path, "") + FIT_BLOCK, "missing required section [scheme]"
+
+
+@pytest.mark.parametrize("case", ["thermal-start", "triplet", "no-scheme"])
+def test_cli_validate_runs_fit_trepr_checks(tmp_path, capsys, case):
+    # `config ok` must mean fit-trepr will not reject the config before computing.
+    text, message = _fit_trepr_rejected(tmp_path, case)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    for argv in (["validate"], ["fit-trepr", "--data", str(tmp_path / "never_read.csv")]):
+        assert cli.entry([*argv, "--config", str(cfg)]) == 2, argv
+        assert capsys.readouterr().err.splitlines() == [f"error: validation: {message}"], argv
+
+
+def test_cli_simulate_thermal_dimer(tmp_path, capsys):
+    # The Boltzmann start: absorption only.  Its [fit] section, which
+    # fit-trepr rejects, does not concern simulate.
+    text, _ = _fit_trepr_rejected(tmp_path, "thermal-start")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert cli.entry(["simulate", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    intensity = dataio.load_spectrum_csv(tmp_path / "demo.csv").intensity
+    assert intensity.min() >= 0 and intensity.max() > 0
+    meta = json.loads((tmp_path / "demo.meta.json").read_text())
+    assert set(meta["diagnostics"]) == set(sp.SearchDiagnostics().metadata())
+    assert meta["diagnostics"]["sticks"] > 0
+
+
 def test_cli_validate_reports_regime(capsys):
     rc = cli.entry(["validate", "--config", BUNDLED])
     out = capsys.readouterr().out
@@ -853,6 +944,47 @@ def test_cli_fit_trepr_nonconvergence_exit_code(tmp_path, capsys):
     report = (tmp_path / "demo_fit_report.txt").read_text()
     assert "start_converged: False, False" in report
     assert (tmp_path / "demo_fit_crystal_b.csv").exists()
+
+
+def test_cli_fit_trepr_writes_plot_scripts(tmp_path, capsys):
+    argv = _shared_scheme_fit(tmp_path, "n_starts = 1\n")
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(cfg.read_text().replace("prefix = demo", "prefix = demo\nplot_script = true"))
+    assert cli.entry(argv) == 0
+    capsys.readouterr()
+    outputs = json.loads((tmp_path / "demo_fit.manifest.json").read_text())["outputs"]
+    for name in ("crystal_a", "crystal_b"):
+        script = tmp_path / f"demo_fit_{name}.gp"
+        assert f"plot 'demo_fit_{name}.csv'" in script.read_text()
+        assert outputs[str(script)] == dataio.sha256_file(str(script))
+
+
+def test_cli_fit_trepr_evaluation_error_exit_code(tmp_path, capsys, monkeypatch):
+    # The best-fit curves are computation too: a LinAlgError there is exit 3.
+    argv = _shared_scheme_fit(tmp_path, "n_starts = 1\n")
+
+    def failing_evaluation(*args):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(fitting, "evaluate_model", failing_evaluation)
+    assert cli.entry(argv) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: numerical: SVD did not converge"]
+    assert not list(tmp_path.glob("demo_fit*"))
+
+
+def test_cli_fit_trepr_rejects_repeated_data_names(tmp_path, capsys):
+    # Both best-fit curves would be written to demo_fit_run.csv.
+    data = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        data.append(tmp_path / folder / "run.csv")
+        dataio.save_spectrum_csv(data[-1], sp.Spectrum(np.linspace(240.0, 440.0, 300), np.ones(300)))
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(_dimer_cfg(tmp_path, SINGLE_SCHEME) + FIT_BLOCK + "schemes = single single\n")
+    assert cli.entry(["fit-trepr", "--config", str(cfg), "--data", *map(str, data)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: dataset names must be distinct; repeated: run"]
+    assert not list(tmp_path.glob("demo*"))
 
 
 def _ta_fixture(tmp_path, lifetimes=(1.1, 4.63e7), noise=0.01, seed=3):

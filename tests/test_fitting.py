@@ -71,6 +71,8 @@ def test_problem_validation(system, crystal_bases):
         _problem(system, datasets, ())
     with pytest.raises(ValueError):
         _problem(system, datasets, ("a2", "bogus"))
+    with pytest.raises(ValueError, match="dataset names must be distinct; repeated: set0$"):
+        _problem(system, datasets * 2, ("a2",))
     problem = _problem(system, datasets, ("a1", "rho_n", "a3"))
     assert problem.free_coefficients == ("a1", "a3")
     assert problem.fits_nuclear

@@ -101,6 +101,19 @@ def test_model_validation():
 
 
 @pytest.mark.parametrize("name, value", [
+    ("t0", math.nan),
+    ("t0", math.inf),
+    ("t0", -math.inf),
+    ("irf_fwhm", math.nan),
+    ("irf_fwhm", math.inf),
+])
+def test_model_times_must_be_finite(name, value):
+    # Each of these once gave all-zero or NaN concentrations.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        kin.SequentialModel((1.0, 10.0), **{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
     ("n_starts", 0),
     ("n_starts", -3),
     ("max_iterations", 0),

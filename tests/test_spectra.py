@@ -33,6 +33,7 @@ def test_sweep_config_validation():
         dict(mw_frequency_ghz=0.0),
         dict(field_start_mt=400.0, field_stop_mt=300.0),
         dict(field_start_mt=-10.0),
+        dict(field_stop_mt=math.inf),
         dict(n_points=1),
         dict(lineshape="voigt"),
         dict(linewidth_mt=0.0),
