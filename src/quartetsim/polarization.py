@@ -87,6 +87,15 @@ class PhotoQuartetPolarization:
     nuclear: NuclearPopulations
     doublet_populations: tuple[float, float] | None = None
 
+    def __post_init__(self):
+        p = self.doublet_populations
+        if p is None:
+            return
+        if len(p) != 2 or not all(math.isfinite(v) for v in p):
+            raise ValueError("doublet populations must hold two finite numbers")
+        if min(p) < 0:
+            raise ValueError("doublet populations must be non-negative")
+
 
 @dataclass(frozen=True)
 class ThermalPolarization:

@@ -47,7 +47,10 @@ class FieldSweepConfig:
     ``search_points`` sets the step of the initial field grid of the
     resonance search: that of ``search_points`` points across the sweep
     window.  The grid only brackets resonances; stick fields come from cubic
-    Hermite roots with exact slopes (see :func:`find_resonances`).  The
+    Hermite roots with exact slopes (see :func:`find_resonances`).  Stretches
+    of the grid that a Weyl bound on the level slopes certifies free of
+    crossings are not diagonalized; the brackets found are those of the
+    whole grid.  The
     default 51 points give the same sticks as a 1201-point search, and
     spectra within 1.9e-6 of its peak (max |delta| / peak, measured on the
     bundled dimer, its weak-exchange variant, a triplet and the CW doublet;
@@ -290,7 +293,8 @@ class SearchDiagnostics:
     where eigenvector-overlap tracking gave both levels the same partner or
     a tracked pair that does not bracket, so sorted labels were used;
     ``n_subdivided`` counts grid segments halved for a possible double
-    crossing.
+    crossing; ``n_grid_matrices`` counts the search-grid points whose
+    eigenvalues were computed, the halving midpoints included.
     """
 
     n_sticks: int = 0
@@ -299,6 +303,7 @@ class SearchDiagnostics:
     n_tie_fallback: int = 0
     n_untracked_fallback: int = 0
     n_subdivided: int = 0
+    n_grid_matrices: int = 0
 
     def add(self, other: "SearchDiagnostics") -> None:
         for f in fields(self):
@@ -312,6 +317,7 @@ class SearchDiagnostics:
             "tie_fallbacks": self.n_tie_fallback,
             "untracked_fallbacks": self.n_untracked_fallback,
             "subdivided_segments": self.n_subdivided,
+            "grid_matrices": self.n_grid_matrices,
         }
 
 
@@ -321,18 +327,23 @@ class SearchDiagnostics:
 # ends allows.  At most _MAX_HALVINGS rounds.
 _SAG_SAFETY = 4.0
 _MAX_HALVINGS = 8
+# The crossing-free certificate of the search grid starts from every
+# _CERT_STRIDE-th node and allows _CERT_ROUNDING * dim * eps times the
+# Hamiltonian's scale for rounding in the eigenvalues and the Lipschitz bound.
+_CERT_STRIDE = 8
+_CERT_ROUNDING = 16.0
 # A bracket whose cubic-Hermite and secant roots lie farther apart than the
 # field accuracy the search aims for is polished at its root.
 _POLISH_FIELD_MT = 1e-4
 # Block sizes of the search and of the lineshape convolution: matrices per
-# grid eigvalsh call, level pairs per detuning block, brackets per resolved
-# block and sticks per kernel block.  They keep one orientation's
-# temporaries at a few MB (on the bundled dimer's powder, a traced peak of
-# 3 MB against 15 MB unblocked): every thread of orientation_average holds
-# one orientation's, and glibc keeps large freed temporaries in the arena
-# of the thread that freed them.
+# grid eigvalsh call, detuning values (grid points times level pairs) per
+# detuning block, brackets per resolved block and sticks per kernel block.
+# They keep one orientation's temporaries at a few MB (on the bundled
+# dimer's powder, a traced peak of 3 MB against 15 MB unblocked): every
+# thread of orientation_average holds one orientation's, and glibc keeps
+# large freed temporaries in the arena of the thread that freed them.
 _GRID_BLOCK = 16
-_PAIR_BLOCK = 128
+_DETUNING_BLOCK = 16384
 _BRACKET_BLOCK = 64
 _STICK_BLOCK = 64
 
@@ -346,32 +357,38 @@ def _search_grid(sweep: FieldSweepConfig) -> np.ndarray:
     return np.linspace(lo, hi, int(math.ceil((hi - lo) / step - 1e-9)) + 1)
 
 
-def _double_crossing_risk(bgrid: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Segments whose ends share a sign but whose curvature allows two crossings."""
+def _double_crossing_risk(bgrid: np.ndarray, f: np.ndarray, open_seg: np.ndarray) -> np.ndarray:
+    """Open segments whose ends share a sign but whose curvature allows two crossings."""
     h = np.diff(bgrid)
     secant = np.diff(f, axis=0) / h[:, None]
-    # Only pairs that come within two grid steps' travel of zero can qualify.
-    near = np.abs(f).min(axis=0) < 2.0 * h.max() * np.abs(secant).max(axis=0)
-    f, secant = f[:, near], secant[:, near]
+    nearest = np.minimum(np.abs(f[:-1]), np.abs(f[1:]))
+    # The sag bound below stays under _SAG_SAFETY / 2 times a segment's step
+    # times the largest |secant| of it and its two neighbours, so only pairs
+    # within that reach of zero on some open segment can qualify.
+    reach = np.abs(secant)
+    reach[1:] = np.maximum(reach[1:], np.abs(secant[:-1]))
+    reach[:-1] = np.maximum(reach[:-1], np.abs(secant[1:]))
+    near = (open_seg[:, None] & (nearest < 0.5 * _SAG_SAFETY * h[:, None] * reach)).any(axis=0)
+    f, secant, nearest = f[:, near], secant[:, near], nearest[:, near]
     curvature = np.zeros_like(f)
     curvature[1:-1] = 2.0 * np.diff(secant, axis=0) / (h[:-1] + h[1:])[:, None]
     side = np.sign(f[:-1])
     # Positive values bend the curve toward zero between the segment's ends.
     bend = np.maximum(curvature[:-1] * side, curvature[1:] * side)
-    nearest = np.minimum(np.abs(f[:-1]), np.abs(f[1:]))
     risky = (f[:-1] * f[1:] > 0) & (nearest < _SAG_SAFETY * bend * (h**2 / 8.0)[:, None])
-    return risky.any(axis=1)
+    return open_seg & risky.any(axis=1)
 
 
 def _detuning_blocks(evals: np.ndarray, iu: np.ndarray, ju: np.ndarray, nu_mw: float):
-    """``(s, f)`` per block of ``_PAIR_BLOCK`` level pairs from pair ``s`` on.
+    """``(s, f)`` per block of level pairs from pair ``s`` on, at most ``_DETUNING_BLOCK`` values.
 
     ``f[k, q]`` is the transition frequency of pair ``(iu, ju)[s + q]``
     minus ``nu_mw`` at grid point ``k``.
     """
-    for s in range(0, len(iu), _PAIR_BLOCK):
-        f = evals[:, ju[s : s + _PAIR_BLOCK]]
-        f -= evals[:, iu[s : s + _PAIR_BLOCK]]
+    step = max(_DETUNING_BLOCK // len(evals), 1)
+    for s in range(0, len(iu), step):
+        f = evals[:, ju[s : s + step]]
+        f -= evals[:, iu[s : s + step]]
         f -= nu_mw
         yield s, f
 
@@ -485,6 +502,98 @@ def _grid_eigenvalues(h0: np.ndarray, h1: np.ndarray, fields: np.ndarray) -> np.
     ])
 
 
+def _uncleared(ea, eb, margin, iu, ju, nu_mw) -> np.ndarray:
+    """``(interval, pair)`` entries that the crossing-free test does not clear.
+
+    A pair is cleared on an interval when its detuning f keeps its sign and
+    ``|f(a)| + |f(b)| > margin``.  ``margin`` exceeds the Lipschitz bound on
+    ``|f(a) - f(b)|``, so ends of opposite sign, or a zero end, give
+    ``|f(a) + f(b)| < margin``: testing ``|f(a) + f(b)| > margin`` alone
+    decides both conditions.
+    """
+    blocks = _detuning_blocks(ea + eb, iu, ju, 2.0 * nu_mw)
+    return np.concatenate([np.abs(f_sum) <= margin[:, None] for _, f_sum in blocks], axis=1)
+
+
+def _certified_grid(h0, h1, bgrid, iu, ju, nu_mw):
+    """The nodes of ``bgrid`` to diagonalize, their eigenvalues and the open segments.
+
+    By Weyl's inequality every sorted eigenvalue of ``h0 + B h1`` moves by
+    between ``lambda_min(h1) dB`` and ``lambda_max(h1) dB``, so every
+    sorted-label detuning f is Lipschitz in B with
+    ``L = lambda_max(h1) - lambda_min(h1)``.  Between two nodes a < b where
+    a pair keeps its sign and ``|f(a)| + |f(b)| > L (b - a) + tol``, its
+    detuning has no zero: the pair is cleared there.  An interval where
+    every pair is cleared, on it or on an interval holding it, is certified
+    crossing-free, and its inner nodes are never diagonalized.  Starting
+    from every ``_CERT_STRIDE``-th node and the last, intervals that are not
+    certified are bisected on grid nodes until each is certified or one grid
+    segment.  An uncertified segment is open: it may hold a bracket or a
+    double crossing.  Both neighbours of an open segment are diagonalized
+    too, so :func:`_double_crossing_risk` sees the curvature it would on the
+    whole grid.
+
+    Returns the sorted indices of the diagonalized nodes, their eigenvalues,
+    and whether the segment from each node to the next is open.
+    """
+    n = len(bgrid)
+    evals = np.empty((n, h0.shape[0]))
+    have = np.zeros(n, dtype=bool)
+
+    def diagonalize(nodes):
+        if len(nodes):
+            evals[nodes] = _grid_eigenvalues(h0, h1, bgrid[nodes])
+            have[nodes] = True
+
+    a = np.unique(np.append(np.arange(0, n, _CERT_STRIDE), n - 1))
+    diagonalize(a)
+    lam = np.linalg.eigvalsh(h1)
+    lip = lam[-1] - lam[0]
+    # ||h0 + B h1|| is convex in B, so the end nodes hold its largest value.
+    scale = np.abs(evals[a]).max() + lip * (bgrid[-1] - bgrid[0])
+    tol = _CERT_ROUNDING * h0.shape[0] * np.finfo(float).eps * scale
+    a, b = a[:-1], a[1:]
+    # A pair cleared on an interval has no zero on any part of it, so the
+    # parts are tested only on the pairs that some interval failed.
+    pairs = np.arange(len(iu))
+    open_left = []
+    while len(a):
+        bad = _uncleared(evals[a], evals[b], lip * (bgrid[b] - bgrid[a]) + tol, iu[pairs], ju[pairs], nu_mw)
+        kept = bad.any(axis=1)
+        pairs = pairs[bad.any(axis=0)]
+        a, b = a[kept], b[kept]
+        single = b - a == 1
+        open_left.append(a[single])
+        a, b = a[~single], b[~single]
+        mid = (a + b) // 2
+        diagonalize(mid)
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    open_left = np.concatenate(open_left)
+    neighbours = np.concatenate([open_left - 1, open_left + 2])
+    neighbours = np.unique(neighbours[(neighbours >= 0) & (neighbours < n)])
+    diagonalize(neighbours[~have[neighbours]])
+    nodes = np.flatnonzero(have)
+    is_open = np.zeros(n, dtype=bool)
+    is_open[open_left] = True
+    return nodes, evals[nodes], is_open[nodes[:-1]]
+
+
+def _brackets(evals_grid: np.ndarray, iu: np.ndarray, ju: np.ndarray, nu_mw: float):
+    """Grid segment and level-pair index of every bracket, in (segment, pair) order.
+
+    A pair brackets a resonance on a segment where its detuning changes sign,
+    or is zero at the segment's start and not at its end.
+    """
+    hit_k, hit_p = [], []
+    for s, f in _detuning_blocks(evals_grid, iu, ju, nu_mw):
+        k, p = np.nonzero((f[:-1] * f[1:] < 0) | ((f[:-1] == 0) & (f[1:] != 0)))
+        hit_k.append(k)
+        hit_p.append(p + s)
+    hit_k, hit_p = np.concatenate(hit_k), np.concatenate(hit_p)
+    order = np.lexsort((hit_p, hit_k))
+    return hit_k[order], hit_p[order]
+
+
 def find_resonances(
     h0: np.ndarray,
     h1: np.ndarray,
@@ -497,11 +606,15 @@ def find_resonances(
     The search covers the sweep window padded by ``pad_linewidths``
     linewidths on both sides (never below zero field) with a uniform grid
     whose step is that of ``search_points`` points across the sweep window.
-    Eigenvalues come from the whole grid; a segment where some transition
-    frequency could cross the microwave frequency twice between its ends is
-    halved first.  A sign change of (transition frequency - nu) brackets a
-    resonance, and only bracket ends are diagonalized with eigenvectors.
-    Level identity across a bracket follows eigenvector overlap.
+    Eigenvalues come only from the grid nodes that can border a crossing:
+    a Weyl bound on the level slopes certifies the other stretches of the
+    grid free of any zero of (transition frequency - nu), so skipping them
+    never changes which brackets are found (:func:`_certified_grid`).  A
+    segment where some transition frequency could cross the microwave
+    frequency twice between its ends is halved first.  A sign change of
+    (transition frequency - nu) brackets a resonance, and only bracket ends
+    are diagonalized with eigenvectors.  Level identity across a bracket
+    follows eigenvector overlap.
 
     At both ends of a bracket, first-order perturbation theory in B gives
     the exact level slopes dE/dB = <v|h1|v> (Hellmann-Feynman) and the
@@ -530,29 +643,25 @@ def find_resonances(
     diag = SearchDiagnostics()
 
     bgrid = _search_grid(sweep)
-    evals_grid = _grid_eigenvalues(h0, h1, bgrid)
+    nodes, evals_grid, open_seg = _certified_grid(h0, h1, bgrid, iu, ju, nu_mw)
+    bgrid = bgrid[nodes]
+    diag.n_grid_matrices = len(nodes)
     for _ in range(_MAX_HALVINGS):
         risky = np.zeros(len(bgrid) - 1, dtype=bool)
         for _, f in _detuning_blocks(evals_grid, iu, ju, nu_mw):
-            risky |= _double_crossing_risk(bgrid, f)
+            risky |= _double_crossing_risk(bgrid, f, open_seg)
         if not risky.any():
             break
         diag.n_subdivided += int(risky.sum())
+        diag.n_grid_matrices += int(risky.sum())
         mids = 0.5 * (bgrid[:-1][risky] + bgrid[1:][risky])
         order = np.argsort(np.concatenate([bgrid, mids]), kind="stable")
         bgrid = np.concatenate([bgrid, mids])[order]
         evals_grid = np.concatenate([evals_grid, _grid_eigenvalues(h0, h1, mids)])[order]
+        # Both halves of an open segment are open; the last node starts none.
+        open_seg = np.concatenate([open_seg, [False], np.ones(len(mids), dtype=bool)])[order][:-1]
 
-    # A sign change of the detuning brackets a resonance; brackets go in
-    # (grid point, level pair) order.
-    hit_k, hit_p = [], []
-    for s, f in _detuning_blocks(evals_grid, iu, ju, nu_mw):
-        k, p = np.nonzero((f[:-1] * f[1:] < 0) | ((f[:-1] == 0) & (f[1:] != 0)))
-        hit_k.append(k)
-        hit_p.append(p + s)
-    hit_k, hit_p = np.concatenate(hit_k), np.concatenate(hit_p)
-    order = np.lexsort((hit_p, hit_k))
-    hit_k, hit_p = hit_k[order], hit_p[order]
+    hit_k, hit_p = _brackets(evals_grid, iu, ju, nu_mw)
     blocks = []
     last = None  # grid index, eigenvalues and eigenvectors of the previous block's last node
     s = 0

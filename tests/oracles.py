@@ -156,3 +156,22 @@ def lorentzian(field: np.ndarray, center: float, fwhm: float) -> np.ndarray:
 def gaussian(field: np.ndarray, center: float, fwhm: float) -> np.ndarray:
     sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
     return np.exp(-((field - center) ** 2) / (2 * sigma**2)) / (sigma * np.sqrt(2 * np.pi))
+
+
+def bracket_scan(h0: np.ndarray, h1: np.ndarray, fields, nu: float) -> set:
+    """Every (segment, lower, upper) whose transition frequency brackets nu.
+
+    Each field is diagonalized on its own and every segment and level pair
+    is checked: segment k runs from fields[k] to fields[k + 1], and the
+    sorted levels (lower, upper) bracket nu there when E_upper - E_lower - nu
+    changes sign across it, or is zero at its start and not at its end.
+    """
+    evals = [np.linalg.eigvalsh(h0 + b * h1) for b in fields]
+    found = set()
+    for k in range(len(fields) - 1):
+        f0 = evals[k][None, :] - evals[k][:, None] - nu
+        f1 = evals[k + 1][None, :] - evals[k + 1][:, None] - nu
+        for lower, upper in zip(*np.nonzero((f0 * f1 < 0) | ((f0 == 0) & (f1 != 0)))):
+            if lower < upper:
+                found.add((k, int(lower), int(upper)))
+    return found

@@ -521,6 +521,16 @@ def test_cli_rejects_negative_triplet_populations(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_cli_rejects_negative_doublet_populations(tmp_path, capsys, command):
+    path = tmp_path / "run.cfg"
+    text = _dimer_cfg(tmp_path, SINGLE_SCHEME)
+    path.write_text(text.replace("kind = photo\n", "kind = photo\ndoublet_populations = -1 2\n"))
+    assert cli.entry([command, "--config", str(path)]) == 2
+    assert "error: validation: doublet populations must be non-negative" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
 @pytest.mark.parametrize("pad", ["-5", "-200"])
 def test_cli_rejects_negative_search_pad(tmp_path, capsys, command, pad):
     path = tmp_path / "run.cfg"

@@ -218,7 +218,7 @@ def test_initial_density_matrix_is_hermitian_traceless():
     assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-12
 
 
-@pytest.mark.parametrize("doublet", [None, (0.2, -0.2)])
+@pytest.mark.parametrize("doublet", [None, (0.3, 0.1)])
 def test_photo_channels_match_dense_route(doublet):
     # The fast path's weights over its states must be rho_0 in that basis.
     spec = sc.vanadyl_porphyrin_dimer()
@@ -322,6 +322,13 @@ def test_triplet_zero_field_polarization_validation():
     pol.TripletZeroFieldPolarization((0.1, 0.2, 0.7))
     with pytest.raises(ValueError):
         pol.TripletZeroFieldPolarization((-0.1, 0.5, 0.6))
+
+
+def test_photo_polarization_rejects_bad_doublet_populations():
+    pol.PhotoQuartetPolarization(TABLE_PARAMS, TABLE_NUCLEAR, doublet_populations=(0.0, 0.3))
+    for populations in ((-1.0, 2.0), (0.5, math.nan), (math.inf, 0.0), (0.5,)):
+        with pytest.raises(ValueError, match="doublet populations"):
+            pol.PhotoQuartetPolarization(TABLE_PARAMS, TABLE_NUCLEAR, doublet_populations=populations)
 
 
 def test_nuclear_polarization_gain():

@@ -4,6 +4,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
@@ -261,6 +263,97 @@ def test_untracked_fallback_at_crossing_inside_one_grid_step():
     _assert_on_resonance(h0, h1, sticks)
 
 
+def _oracle_hamiltonian(spec, orientation):
+    """``(h0, h1)`` of the independent oracle Hamiltonian ``h0 + B h1`` of ``spec``."""
+
+    def oracle(field_mt):
+        return oracles.dimer_hamiltonian(
+            field_mt, orientation.unit_vector(), spec.exchange_cm, spec.dipolar_mhz,
+            spec.zfs_d_mhz, spec.zfs_e_mhz, spec.g_fp, spec.g_vo.principal,
+            spec.a_vo.principal, spec.frames.alpha_rad, spec.frames.beta_rad,
+        )
+
+    h0 = oracle(0.0)
+    return h0, oracle(1.0) - h0
+
+
+@pytest.mark.parametrize("weak", [False, True])
+@pytest.mark.parametrize("search_points", [51, 151])
+def test_certified_grid_brackets_match_every_node_scan(weak, search_points):
+    # The oracle diagonalizes every node of the search grid.  The certified
+    # grid skips nodes, yet brackets exactly the same (segment, pair) set,
+    # each on one open grid segment.
+    spec = _weak_dimer() if weak else sc.vanadyl_porphyrin_dimer()
+    bgrid = sp._search_grid(sp.FieldSweepConfig(search_points=search_points))
+    iu, ju = np.triu_indices(48, 1)
+    skipped = 0
+    for theta, phi in ((1.53, 0.10), (0.62, 5.74), (0.54, 0.21)):
+        h0, h1 = _oracle_hamiltonian(spec, sc.LabOrientation(theta, phi))
+        nodes, evals, open_seg = sp._certified_grid(h0, h1, bgrid, iu, ju, 9500.0)
+        k, p = sp._brackets(evals, iu, ju, 9500.0)
+        assert open_seg[k].all() and (nodes[k + 1] == nodes[k] + 1).all()
+        found = {(int(nodes[a]), int(iu[q]), int(ju[q])) for a, q in zip(k, p)}
+        assert found == oracles.bracket_scan(h0, h1, bgrid, 9500.0)
+        skipped += len(bgrid) - len(nodes)
+    assert skipped > 0
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 12), n=st.integers(17, 97))
+@settings(max_examples=40, deadline=None)
+def test_certified_segments_hold_no_crossing(seed, dim, n):
+    rng = np.random.default_rng(seed)
+
+    def hermitian(scale):
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return scale * (a + a.conj().T) / 2
+
+    h0, h1 = hermitian(1.0), hermitian(rng.uniform(0.02, 1.0))
+    bgrid = np.linspace(0.0, 4.0, n)
+    mid = np.linalg.eigvalsh(h0 + 2.0 * h1)
+    nu = rng.uniform(0.0, mid[-1] - mid[0])
+    iu, ju = np.triu_indices(dim, 1)
+    nodes, evals, open_seg = sp._certified_grid(h0, h1, bgrid, iu, ju, nu)
+    assert_allclose(evals, np.linalg.eigvalsh(h0 + bgrid[nodes, None, None] * h1), rtol=0, atol=1e-12)
+    # Open segments are single grid segments with both neighbours diagonalized.
+    k = nodes[:-1][open_seg]
+    assert (np.isin(k + 1, nodes)).all()
+    neighbours = np.concatenate([k - 1, k + 2])
+    assert np.isin(neighbours[(neighbours >= 0) & (neighbours < n)], nodes).all()
+    # No sorted-label detuning changes sign inside any other segment.
+    for a, b in zip(nodes[:-1][~open_seg], nodes[1:][~open_seg]):
+        fine = np.linspace(bgrid[a], bgrid[b], 16 * (b - a) + 1)
+        e = np.linalg.eigvalsh(h0 + fine[:, None, None] * h1)
+        f = e[:, ju] - e[:, iu] - nu
+        assert (f[:-1] * f[1:] > 0).all()
+
+
+@pytest.mark.parametrize("nu", [21.0, 40.0])
+def test_pair_on_resonance_at_a_grid_node_is_never_certified(nu):
+    # The detuning of levels (0, 1) is B - nu on the nodes 0, 1, ..., 64 (L = 1):
+    # zero exactly on node 21, between stride nodes, or on node 40, a stride node.
+    bgrid = np.arange(65.0)
+    h0, h1 = np.zeros((2, 2)), np.diag([0.0, 1.0])
+    iu, ju = np.triu_indices(2, 1)
+    nodes, evals, open_seg = sp._certified_grid(h0, h1, bgrid, iu, ju, nu)
+    at = int(np.searchsorted(nodes, nu))
+    assert nodes[at] == nu and open_seg[at - 1] and open_seg[at]
+    assert nodes[at + 1] == nu + 1 and nodes[at - 1] == nu - 1
+    assert sp._brackets(evals, iu, ju, nu)[0].tolist() == [at]
+    assert len(nodes) < len(bgrid)
+
+
+def test_detuning_within_lipschitz_reach_diagonalizes_the_whole_grid():
+    # Levels 0 and 1 climb together 10 MHz off resonance while level 2 falls,
+    # so L = 56 MHz/mT and L h = 224 MHz on the default 4 mT step: no
+    # interval is ever certified, and no pair crosses the microwave frequency.
+    h1 = np.diag([28.0, 28.0, -28.0]).astype(complex)
+    h0 = np.diag([0.0, 9510.0, 60000.0]).astype(complex)
+    sweep = sp.FieldSweepConfig()
+    sticks, diag = sp.find_resonances(h0, h1, sweep, pol.ThermalPolarization(1.0), sc.spin_operators(1.0)[:2])
+    assert sticks == [] and diag.n_subdivided == 0
+    assert diag.n_grid_matrices == len(sp._search_grid(sweep))
+
+
 @pytest.mark.parametrize(
     "weak, theta, phi", [(False, 1.53, 0.10), (False, 0.62, 5.74), (True, 0.54, 0.21), (True, 0.84, 4.07)]
 )
@@ -312,16 +405,7 @@ def test_stick_labels_resonate_at_their_field():
     spec = _weak_dimer()
     orientation = sc.LabOrientation(0.3927, math.pi)
     sticks = sp.stick_spectrum(spec, orientation, WEAK_THERMAL, sp.FieldSweepConfig())
-
-    def oracle(field_mt):
-        return oracles.dimer_hamiltonian(
-            field_mt, orientation.unit_vector(), spec.exchange_cm, spec.dipolar_mhz,
-            spec.zfs_d_mhz, spec.zfs_e_mhz, spec.g_fp, spec.g_vo.principal,
-            spec.a_vo.principal, spec.frames.alpha_rad, spec.frames.beta_rad,
-        )
-
-    h0 = oracle(0.0)
-    h1 = oracle(1.0) - h0
+    h0, h1 = _oracle_hamiltonian(spec, orientation)
     fields = np.array([s.field_mt for s in sticks])
     evals, evecs = np.linalg.eigh(h0[None] + fields[:, None, None] * h1[None])
     rows = np.arange(len(sticks))
@@ -466,7 +550,7 @@ def test_powder_spectrum_net_emissive():
     assert spectrum.metadata["diagnostics"]["sticks"] > 0
     assert set(spectrum.metadata["diagnostics"]) == {
         "sticks", "discarded_flat_transitions", "polished_sticks", "tie_fallbacks",
-        "untracked_fallbacks", "subdivided_segments",
+        "untracked_fallbacks", "subdivided_segments", "grid_matrices",
     }
 
 
