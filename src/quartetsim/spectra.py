@@ -337,14 +337,18 @@ _CERT_ROUNDING = 16.0
 _POLISH_FIELD_MT = 1e-4
 # Block sizes of the search and of the lineshape convolution: matrices per
 # grid eigvalsh call, detuning values (grid points times level pairs) per
-# detuning block, brackets per resolved block and sticks per kernel block.
-# They keep one orientation's temporaries at a few MB (on the bundled
-# dimer's powder, a traced peak of 3 MB against 15 MB unblocked): every
-# thread of orientation_average holds one orientation's, and glibc keeps
-# large freed temporaries in the arena of the thread that freed them.
+# detuning block, eigenvector values (brackets times levels) per resolved
+# block, nodes per derivative chunk and sticks per kernel block.  They keep
+# one orientation's temporaries at a few MB (on the bundled dimer's 48-channel
+# basis at 151 search points, a traced peak of at most 7.1 MB per orientation
+# against 16 MB unblocked; the eigenpairs of the bracket nodes take up to
+# 3.2 MB of it): every thread of orientation_average holds one orientation's,
+# and glibc keeps large freed temporaries in the arena of the thread that
+# freed them.
 _GRID_BLOCK = 16
 _DETUNING_BLOCK = 16384
-_BRACKET_BLOCK = 64
+_BRACKET_VALUES = 12288
+_NODE_CHUNK = 16
 _STICK_BLOCK = 64
 
 
@@ -431,24 +435,35 @@ def _level_derivatives(h1, evals, evecs, node, level):
     over the m outside l's degenerate set (where h1 cannot couple them), and
     dE_l/dB = <l|h1|l> (Hellmann-Feynman).  The distinct levels of each node
     form the columns of one padded block, so the work scales with the levels
-    used, not with all of them.  The degeneracy tolerance is relative to each
-    node's own spectrum, so a level's result does not depend on the other
-    nodes in the batch.
+    used, not with all of them; the padded blocks are built ``_NODE_CHUNK``
+    nodes at a time.  The degeneracy tolerance is relative to each node's own
+    spectrum, so a level's result does not depend on the other nodes in the
+    batch.
     """
     dim = evecs.shape[1]
     keys, inverse = np.unique(node * dim + level, return_inverse=True)
-    key_node = keys // dim
+    key_node, key_level = np.divmod(keys, dim)
     col = np.arange(len(keys)) - np.searchsorted(key_node, key_node)
-    cols = np.zeros((len(evecs), col.max() + 1), dtype=int)
-    cols[key_node, col] = keys % dim
-    vl = np.take_along_axis(evecs, cols[:, None, :], axis=2)
-    g = np.matmul(evecs.conj().transpose(0, 2, 1), np.matmul(h1, vl))
-    gap = np.take_along_axis(evals, cols, axis=1)[:, None, :] - evals[:, :, None]
-    tol = 1e-9 * (np.abs(evals).max(axis=1) + 1.0)[:, None, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dvl = np.matmul(evecs, np.where(np.abs(gap) > tol, g / gap, 0.0))
-    c = col[inverse]
-    return vl[node, :, c], dvl[node, :, c], g[node, level, c].real
+    v = np.empty((len(keys), dim), dtype=evecs.dtype)
+    dv = np.empty_like(v)
+    s = np.empty(len(keys))
+    for start in range(0, len(evecs), _NODE_CHUNK):
+        lo, hi = np.searchsorted(key_node, [start, start + _NODE_CHUNK])
+        if lo == hi:
+            continue
+        vecs, vals = evecs[start : start + _NODE_CHUNK], evals[start : start + _NODE_CHUNK]
+        kn, kc, kl = key_node[lo:hi] - start, col[lo:hi], key_level[lo:hi]
+        cols = np.zeros((len(vecs), kc.max() + 1), dtype=int)
+        cols[kn, kc] = kl
+        vl = np.take_along_axis(vecs, cols[:, None, :], axis=2)
+        g = np.matmul(vecs.conj().transpose(0, 2, 1), np.matmul(h1, vl))
+        s[lo:hi] = g[kn, kl, kc].real
+        # An infinite gap drops the coupling within a degenerate set.
+        gap = np.take_along_axis(vals, cols, axis=1)[:, None, :] - vals[:, :, None]
+        gap[np.abs(gap) <= 1e-9 * (np.abs(vals).max(axis=1) + 1.0)[:, None, None]] = np.inf
+        g /= gap
+        v[lo:hi], dv[lo:hi] = vl[kn, :, kc], np.matmul(vecs, g)[kn, :, kc]
+    return v[inverse], dv[inverse], s[inverse]
 
 
 def _populations(channels, h1, evals, evecs, node, level, v, dv):
@@ -458,7 +473,10 @@ def _populations(channels, h1, evals, evecs, node, level, v, dv):
     derivatives; Boltzmann populations use every level at the node instead.
     """
     if isinstance(channels, pol.ThermalPolarization):
-        slopes = np.einsum("ndk,ndk->nk", evecs.conj(), np.matmul(h1, evecs)).real
+        # Re <v|h1|v> = Re(v . conj(h1 v)): the product conjugated in place
+        # holds one block-sized temporary, not two.
+        hv = np.matmul(h1, evecs)
+        slopes = np.einsum("ndk,ndk->nk", evecs, np.conjugate(hv, out=hv)).real
         p = pol.thermal_populations(evals, channels.temperature_k)
         beta = PLANCK_J_PER_HZ * 1e6 / (BOLTZMANN_J_PER_K * channels.temperature_k)
         dp = -beta * p * (slopes - (p * slopes).sum(axis=-1, keepdims=True))
@@ -627,10 +645,11 @@ def find_resonances(
     instead: one diagonalization at the root, a Newton step, and moment,
     populations, slope and labels from the root's own eigenvectors.
 
-    The grid is diagonalized ``_GRID_BLOCK`` matrices at a time and the
-    brackets are resolved about ``_BRACKET_BLOCK`` at a time (a block ends
-    on a whole grid segment), so the temporaries stay the same size however
-    many resonances an orientation has.
+    The grid is diagonalized ``_GRID_BLOCK`` matrices at a time, every
+    bracket node in one ``eigh`` call, and the brackets are resolved in
+    blocks of at most ``_BRACKET_VALUES`` eigenvector values (brackets times
+    levels: 256 brackets of the 48-level dimer), so the temporaries stay the
+    same size however many resonances an orientation has.
 
     ``Stick.lower``/``upper`` are sorted level indices at the stick's
     field; ``electron_m``/``nuclear_m`` stay unset (:func:`stick_spectrum`
@@ -662,28 +681,23 @@ def find_resonances(
         open_seg = np.concatenate([open_seg, [False], np.ones(len(mids), dtype=bool)])[order][:-1]
 
     hit_k, hit_p = _brackets(evals_grid, iu, ju, nu_mw)
+    if not len(hit_k):
+        return [], diag
+    # Eigenvectors only where a bracket needs them, each node once.
+    needed = np.unique(np.concatenate([hit_k, hit_k + 1]))
+    evals, evecs = np.linalg.eigh(h0 + bgrid[needed, None, None] * h1)
     blocks = []
-    last = None  # grid index, eigenvalues and eigenvectors of the previous block's last node
-    s = 0
-    while s < len(hit_k):
-        # A block takes every bracket of its last grid segment, so the next
-        # block starts on a later segment and shares at most one node with it.
-        e = int(np.searchsorted(hit_k, hit_k[min(s + _BRACKET_BLOCK, len(hit_k)) - 1], side="right"))
-        k, p = hit_k[s:e], hit_p[s:e]
-        # Eigenvectors only where a bracket needs them; a node shared with
-        # the previous block is diagonalized once.
-        needed = np.unique(np.concatenate([k, k + 1]))
-        shared = int(last is not None and needed[0] == last[0])
-        evals, evecs = np.linalg.eigh(h0 + bgrid[needed[shared:], None, None] * h1)
-        if shared:
-            evals, evecs = np.concatenate([last[1], evals]), np.concatenate([last[2], evecs])
-        last = (needed[-1], evals[-1:].copy(), evecs[-1:].copy())
+    step = max(_BRACKET_VALUES // dim, 1)
+    for s in range(0, len(hit_k), step):
+        k, p = hit_k[s : s + step], hit_p[s : s + step]
+        # The block's nodes are a contiguous run of ``needed``.
+        lo, hi = np.searchsorted(needed, [k[0], k[-1] + 1])
         blocks.append(
             _resolve_brackets(
-                h0, h1, sweep, channels, transverse_ops, bgrid, k, iu[p], ju[p], needed, evals, evecs, diag
+                h0, h1, sweep, channels, transverse_ops, bgrid, k, iu[p], ju[p],
+                needed[lo : hi + 1], evals[lo : hi + 1], evecs[lo : hi + 1], diag,
             )
         )
-        s = e
     if not sum(len(b[0]) for b in blocks):
         return [], diag
     b_res, slope, li, lj, amps = (np.concatenate(a) for a in zip(*blocks))

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .constants import (
     BOHR_MAGNETON_J_PER_T,
@@ -64,14 +63,45 @@ def spin_operators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def rotation_matrix(euler_zyz: tuple[float, float, float]) -> np.ndarray:
-    """3x3 rotation Rz(a) @ Ry(b) @ Rz(c) for Z-Y-Z Euler angles in radians."""
-    return Rotation.from_euler("ZYZ", euler_zyz).as_matrix()
+    """3x3 rotation Rz(a) @ Ry(b) @ Rz(c) for Z-Y-Z Euler angles in radians.
+
+    The entries come from the Euler-Rodrigues parameters (x, y, z, w) of the
+    product of the three half-angle turns, in the operation order of scipy's
+    ``Rotation.from_euler("ZYZ", ...).as_matrix()`` (the same bits with
+    scipy 1.17): through the eigensolver's rounding, a one-ulp change in a
+    tensor moves stick fields by about 5e-12 mT.
+    """
+    (sa, ca), (sb, cb), (sc, cc) = ((math.sin(v / 2.0), math.cos(v / 2.0)) for v in euler_zyz)
+    r0, r1, r2, rw = -sa * sb, ca * sb, sa * cb, ca * cb
+    x, y, z, w = cc * r0 + r1 * sc, cc * r1 - r0 * sc, rw * sc + cc * r2, rw * cc - r2 * sc
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    return np.array([
+        [x2 - y2 - z2 + w2, 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), -x2 + y2 - z2 + w2, 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), -x2 - y2 + z2 + w2],
+    ])
 
 
 def euler_from_matrix(rot: np.ndarray) -> tuple[float, float, float]:
-    """Inverse of :func:`rotation_matrix` (angles in radians)."""
-    a, b, c = Rotation.from_matrix(rot).as_euler("ZYZ")
-    return float(a), float(b), float(c)
+    """Inverse of :func:`rotation_matrix` (angles in radians).
+
+    The upper-left block of the matrix holds ``(1 + cos b)`` times a rotation
+    by ``a + c`` plus ``(1 - cos b)`` times a reflection at ``a - c``, so
+    whichever of the two is well scaled gives that sum or difference, and the
+    third column gives ``a``.  At b = 0 or pi only the sum or the difference
+    is defined; c is then 0.
+    """
+    r = np.asarray(rot, dtype=float)
+    b = math.atan2(math.hypot(r[0, 2], r[1, 2]), r[2, 2])
+    if b < math.pi / 2:
+        total = math.atan2(r[1, 0] - r[0, 1], r[0, 0] + r[1, 1])
+        a = math.atan2(r[1, 2], r[0, 2]) if b > 0.0 else total
+        c = total - a
+    else:
+        diff = math.atan2(-r[1, 0] - r[0, 1], r[1, 1] - r[0, 0])
+        a = math.atan2(r[1, 2], r[0, 2]) if b < math.pi else diff
+        c = a - diff
+    return a, b, math.remainder(c, 2 * math.pi)
 
 
 def rotate_tensor(tensor: np.ndarray, euler_zyz: tuple[float, float, float]) -> np.ndarray:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -689,35 +690,82 @@ def test_worker_error_raises_from_the_average(workers, bad):
     assert total.tobytes() == serial_total.tobytes() and diag == serial_diag
 
 
-def test_bracket_blocks_match_one_block(monkeypatch):
-    # Weak exchange: about 512 sticks in one orientation, so several bracket
-    # blocks, against a search that resolves every bracket in one block.
+def _weak_orientation_search():
+    """Search inputs of one weak-exchange orientation with about 512 sticks."""
     spec = _weak_dimer()
     orientation = sc.LabOrientation(0.84, 4.07)
     h0, h1, s_tot, channels = sp._dimer_parts(spec, sp._model_channels(spec, WEAK_THERMAL))(orientation)
-    transverse = sp._transverse_ops(orientation, s_tot)
-    sweep = sp.FieldSweepConfig()
+    return h0, h1, sp.FieldSweepConfig(), channels, sp._transverse_ops(orientation, s_tot)
+
+
+def test_bracket_nodes_diagonalized_once_and_blocks_match_one_block(monkeypatch):
+    # Weak exchange: about 512 sticks in one orientation, so several bracket
+    # blocks, against a search that resolves every bracket in one unchunked block.
+    h0, h1, sweep, channels, transverse = _weak_orientation_search()
     eigh = np.linalg.eigh
     diagonalized = []
 
     def counting_eigh(a):
-        diagonalized.append(len(a))
+        diagonalized.append(a.copy())
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     sticks, diag = sp.find_resonances(h0, h1, sweep, channels, transverse)
-    assert diag.n_sticks > 4 * sp._BRACKET_BLOCK and len(diagonalized) > 4
-    blocked = sum(diagonalized)
+    assert diag.n_sticks * h0.shape[0] > sp._BRACKET_VALUES and diag.n_subdivided == 0
+    # Every bracket node of the whole grid in one call, each once; then only
+    # the polished roots.
+    bgrid = sp._search_grid(sweep)
+    scan = oracles.bracket_scan(h0, h1, bgrid, sweep.mw_frequency_mhz())
+    nodes = sorted({k for k, _, _ in scan} | {k + 1 for k, _, _ in scan})
+    assert np.array_equal(diagonalized[0], h0 + bgrid[nodes, None, None] * h1)
+    assert diag.n_polished > 0 and sum(len(a) for a in diagonalized[1:]) == diag.n_polished
     diagonalized.clear()
-    monkeypatch.setattr(sp, "_BRACKET_BLOCK", 10**6)
+    monkeypatch.setattr(sp, "_BRACKET_VALUES", 10**9)
+    monkeypatch.setattr(sp, "_NODE_CHUNK", 10**6)
     monkeypatch.setattr(sp, "_GRID_BLOCK", 10**6)
     whole, whole_diag = sp.find_resonances(h0, h1, sweep, channels, transverse)
     assert diag == whole_diag
-    # A node shared by two blocks is diagonalized once.
-    assert blocked == sum(diagonalized)
     _assert_same_sticks(sticks, whole, 1e-9)
     amps, whole_amps = (np.array([s.amplitudes for s in x]) for x in (sticks, whole))
     assert_allclose(amps, whole_amps, rtol=1e-12, atol=1e-12 * np.abs(whole_amps).max())
+
+
+def test_node_chunks_match_one_chunk(monkeypatch):
+    h0, h1, sweep, _, _ = _weak_orientation_search()
+    fields = sp._search_grid(sweep)
+    evals, evecs = np.linalg.eigh(h0 + fields[:, None, None] * h1)
+    assert len(fields) > 2 * sp._NODE_CHUNK
+    rng = np.random.default_rng(5)
+    node = rng.integers(0, len(fields), 400)
+    level = rng.integers(0, h0.shape[0], 400)
+    chunked = sp._level_derivatives(h1, evals, evecs, node, level)
+    monkeypatch.setattr(sp, "_NODE_CHUNK", 10**6)
+    for a, b in zip(chunked, sp._level_derivatives(h1, evals, evecs, node, level)):
+        assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+def _traced_peak_mb(h0, h1, sweep, channels, transverse) -> float:
+    sp.find_resonances(h0, h1, sweep, channels, transverse)
+    tracemalloc.start()
+    try:
+        sp.find_resonances(h0, h1, sweep, channels, transverse)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_working_set_stays_bounded():
+    # Each orientation_average thread holds one search's temporaries.  Bounds
+    # are about 1.25 times the traced peaks (5.1 and 6.8 MB); resolving every
+    # bracket in one block without node chunks traces 10.5 and 13.1 MB.
+    assert _traced_peak_mb(*_weak_orientation_search()) < 6.4
+    spec = sc.vanadyl_porphyrin_dimer()
+    orientation = sc.LabOrientation(0.84, 4.07)
+    units = [pol.QuartetPolarizationParams(a=c[:3], r=c[3:]) for c in np.eye(6)]
+    h0, h1, s_tot, channels = sp._dimer_parts(spec, sp._quartet_channels(spec, units, np.eye(8)))(orientation)
+    assert len(channels.weights) == 48
+    transverse = sp._transverse_ops(orientation, s_tot)
+    assert _traced_peak_mb(h0, h1, sp.FieldSweepConfig(search_points=151), channels, transverse) < 8.5
 
 
 # --------------------------------------------------------------- metadata

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,21 @@ def test_euler_round_trip(a, b, c):
     rot = sc.rotation_matrix((a, b, c))
     again = sc.rotation_matrix(sc.euler_from_matrix(rot))
     assert_allclose(again, rot, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "euler",
+    [(0.3, 0.0, 0.0), (-2.0, 0.0, 1.1), (0.3, math.pi, 0.0), (0.7, math.pi, -2.5), (0.0, 0.0, 0.0),
+     (1.2, 1e-9, -0.4), (1.2, math.pi - 1e-9, -0.4), (0.5, 1e-17, 2.0)],
+)
+def test_euler_round_trip_at_gimbal_lock_without_warning(euler):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rot = sc.rotation_matrix(euler)
+        assert_allclose(sc.rotation_matrix(sc.euler_from_matrix(rot)), rot, rtol=0, atol=1e-12)
+        spec = sc.vanadyl_porphyrin_dimer()
+        moved = spec.rotated(rot)
+    assert_allclose(moved.zfs.matrix(), rot @ spec.zfs.matrix() @ rot.T, atol=1e-9)
 
 
 @given(p=principals, a=angles, b=angles, c=angles)
