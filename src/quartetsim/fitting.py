@@ -96,6 +96,17 @@ class FitProblem:
         if repeated:
             # each dataset's best-fit curve is written under its name
             raise ValueError(f"dataset names must be distinct; repeated: {', '.join(repeated)}")
+        start, stop = self.sweep.field_start_mt, self.sweep.field_stop_mt
+        # The basis spectra are resampled onto each field axis, and held at
+        # their edge values outside the sweep window.  A spectrum CSV keeps 11
+        # significant digits, so a sweep's own axis may read up to half a unit
+        # of the last one beyond it.
+        tol = 5e-11 * stop
+        for ds in self.datasets:
+            lo, hi = float(ds.spectrum.field_mt[0]), float(ds.spectrum.field_mt[-1])
+            if lo < start - tol or hi > stop + tol:
+                raise ValueError(f"dataset {ds.name!r}: field axis [{lo}, {hi}] mT leaves the sweep window "
+                                 f"[{start}, {stop}] mT")
 
     @property
     def free_coefficients(self) -> tuple[str, ...]:

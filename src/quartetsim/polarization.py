@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,22 +144,20 @@ def field_in_quartet_frame(frames: FrameGeometry, orientation: LabOrientation) -
     return spincore.vector_angles(local)
 
 
+@lru_cache(maxsize=8)
+def _rotation_generators(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m values of Sz and the eigenpairs of Sy for spin ``s``, read-only."""
+    _, sy, sz = spin_operators(s)
+    evals, evecs = np.linalg.eigh(sy)
+    return tuple(spincore._read_only(a) for a in (np.real(np.diag(sz)), evals, evecs))
+
+
 def single_spin_rotation(s: float, theta: float, phi: float) -> np.ndarray:
     """SU(2) rotation exp(-i phi Sz) exp(-i theta Sy) carrying z onto (theta, phi)."""
-    sx, sy, sz = spin_operators(s)
-    m = np.real(np.diag(sz))
+    m, evals, evecs = _rotation_generators(s)
     phase = np.diag(np.exp(-1j * phi * m))
-    evals, evecs = np.linalg.eigh(sy)
     tilt = (evecs * np.exp(-1j * theta * evals)) @ evecs.conj().T
     return phase @ tilt
-
-
-def orientation_rotation(orientation: LabOrientation) -> np.ndarray:
-    """Product-space rotation aligning the quantization axis with the field."""
-    u_t = single_spin_rotation(spincore.SPIN_TRIPLET, orientation.theta, orientation.phi)
-    u_d = single_spin_rotation(spincore.SPIN_DOUBLET, orientation.theta, orientation.phi)
-    u_n = single_spin_rotation(spincore.SPIN_NUCLEUS, orientation.theta, orientation.phi)
-    return np.kron(np.kron(u_t, u_d), u_n)
 
 
 def coupled_states_along(orientation: LabOrientation) -> np.ndarray:
@@ -167,8 +166,9 @@ def coupled_states_along(orientation: LabOrientation) -> np.ndarray:
     First 32 columns span the quartet (x) nuclear block, last 16 the
     trip-doublet (x) nuclear block, both with descending m and m_I.
     """
-    w_full = np.kron(coupled_transform(), np.eye(8))
-    return orientation_rotation(orientation) @ w_full
+    u_t, u_d, u_n = (single_spin_rotation(s, orientation.theta, orientation.phi)
+                     for s in (spincore.SPIN_TRIPLET, spincore.SPIN_DOUBLET, spincore.SPIN_NUCLEUS))
+    return np.kron(np.kron(u_t, u_d), u_n) @ np.kron(coupled_transform(), np.eye(8))
 
 
 def thermal_populations(energies_mhz: np.ndarray, temperature_k: float) -> np.ndarray:

@@ -254,17 +254,36 @@ def scheme_orientations(scheme: OrientationScheme) -> tuple[list[LabOrientation]
     return [LabOrientation(scheme.theta, scheme.phi)], np.array([1.0])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class Sticks:
+    """The resonances of one orientation as arrays, in field order.
+
+    ``amplitudes`` is (n, n_channels), one column per population channel
+    (one for Boltzmann populations); the other fields are (n,), and
+    ``lower``/``upper`` are sorted level indices at each stick's own field.
+    """
+
+    field_mt: np.ndarray
+    amplitudes: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    slope_mhz_per_mt: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.field_mt)
+
+
+@dataclass(frozen=True)
 class Stick:
-    """One resonance: field position plus per-channel signed amplitudes."""
+    """One resonance of :func:`stick_spectrum`, with the quantum numbers of both levels."""
 
     field_mt: float
     amplitudes: np.ndarray
     lower: int
     upper: int
     slope_mhz_per_mt: float
-    electron_m: tuple[float, float] | None = None
-    nuclear_m: tuple[float, float] | None = None
+    electron_m: tuple[float, float]
+    nuclear_m: tuple[float, float]
 
     @property
     def amplitude(self) -> float:
@@ -335,17 +354,17 @@ _CERT_ROUNDING = 16.0
 # A bracket whose cubic-Hermite and secant roots lie farther apart than the
 # field accuracy the search aims for is polished at its root.
 _POLISH_FIELD_MT = 1e-4
-# Block sizes of the search and of the lineshape convolution: matrices per
-# grid eigvalsh call, detuning values (grid points times level pairs) per
-# detuning block, eigenvector values (brackets times levels) per resolved
-# block, nodes per derivative chunk and sticks per kernel block.  They keep
-# one orientation's temporaries at a few MB (on the bundled dimer's 48-channel
-# basis at 151 search points, a traced peak of at most 7.1 MB per orientation
-# against 16 MB unblocked; the eigenpairs of the bracket nodes take up to
-# 3.2 MB of it): every thread of orientation_average holds one orientation's,
-# and glibc keeps large freed temporaries in the arena of the thread that
-# freed them.
-_GRID_BLOCK = 16
+# Block sizes of the search and of the lineshape convolution: detuning values
+# (grid points times level pairs) per detuning block, eigenvector values
+# (brackets times levels) per resolved block, nodes per derivative chunk and
+# sticks per kernel block.  They keep one orientation's temporaries at a few
+# MB (on the bundled dimer's 48-channel basis at 151 search points, a traced
+# peak of at most 7.1 MB per orientation against 16 MB unblocked; the
+# eigenpairs of the bracket nodes take up to 3.2 MB of it, and the at most 46
+# grid matrices of a certificate round, diagonalized in one call, 3.4 MB with
+# their temporary): every thread of orientation_average holds one
+# orientation's, and glibc keeps large freed temporaries in the arena of the
+# thread that freed them.
 _DETUNING_BLOCK = 16384
 _BRACKET_VALUES = 12288
 _NODE_CHUNK = 16
@@ -512,14 +531,6 @@ def _track(u: np.ndarray, evecs: np.ndarray, node: np.ndarray) -> np.ndarray:
     return best
 
 
-def _grid_eigenvalues(h0: np.ndarray, h1: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ``h0 + B h1`` at every field, ``_GRID_BLOCK`` matrices at a time."""
-    return np.concatenate([
-        np.linalg.eigvalsh(h0 + fields[s : s + _GRID_BLOCK, None, None] * h1)
-        for s in range(0, len(fields), _GRID_BLOCK)
-    ])
-
-
 def _uncleared(ea, eb, margin, iu, ju, nu_mw) -> np.ndarray:
     """``(interval, pair)`` entries that the crossing-free test does not clear.
 
@@ -560,7 +571,7 @@ def _certified_grid(h0, h1, bgrid, iu, ju, nu_mw):
 
     def diagonalize(nodes):
         if len(nodes):
-            evals[nodes] = _grid_eigenvalues(h0, h1, bgrid[nodes])
+            evals[nodes] = np.linalg.eigvalsh(h0 + bgrid[nodes, None, None] * h1)
             have[nodes] = True
 
     a = np.unique(np.append(np.arange(0, n, _CERT_STRIDE), n - 1))
@@ -618,7 +629,7 @@ def find_resonances(
     sweep: FieldSweepConfig,
     channels: PopulationChannels | pol.ThermalPolarization,
     transverse_ops: tuple[np.ndarray, np.ndarray],
-) -> tuple[list[Stick], SearchDiagnostics]:
+) -> tuple[Sticks, SearchDiagnostics]:
     """Locate all microwave resonances of ``h0 + B h1`` in the sweep window.
 
     The search covers the sweep window padded by ``pad_linewidths``
@@ -645,16 +656,16 @@ def find_resonances(
     instead: one diagonalization at the root, a Newton step, and moment,
     populations, slope and labels from the root's own eigenvectors.
 
-    The grid is diagonalized ``_GRID_BLOCK`` matrices at a time, every
-    bracket node in one ``eigh`` call, and the brackets are resolved in
-    blocks of at most ``_BRACKET_VALUES`` eigenvector values (brackets times
-    levels: 256 brackets of the 48-level dimer), so the temporaries stay the
-    same size however many resonances an orientation has.
+    Each certificate or halving round diagonalizes its grid nodes in one
+    ``eigvalsh`` call, every bracket node in one ``eigh`` call, and the
+    brackets are resolved in blocks of at most ``_BRACKET_VALUES``
+    eigenvector values (brackets times levels: 256 brackets of the 48-level
+    dimer), so the temporaries stay the same size however many resonances
+    an orientation has.
 
-    ``Stick.lower``/``upper`` are sorted level indices at the stick's
-    field; ``electron_m``/``nuclear_m`` stay unset (:func:`stick_spectrum`
-    fills them).  Transitions flatter than the slope floor are discarded;
-    every fallback and refinement is counted in the diagnostics.
+    Returns the :class:`Sticks` record, empty where nothing resonates, and
+    the diagnostics.  Transitions flatter than the slope floor are
+    discarded; every fallback and refinement is counted in the diagnostics.
     """
     nu_mw = sweep.mw_frequency_mhz()
     dim = h0.shape[0]
@@ -676,13 +687,15 @@ def find_resonances(
         mids = 0.5 * (bgrid[:-1][risky] + bgrid[1:][risky])
         order = np.argsort(np.concatenate([bgrid, mids]), kind="stable")
         bgrid = np.concatenate([bgrid, mids])[order]
-        evals_grid = np.concatenate([evals_grid, _grid_eigenvalues(h0, h1, mids)])[order]
+        evals_grid = np.concatenate([evals_grid, np.linalg.eigvalsh(h0 + mids[:, None, None] * h1)])[order]
         # Both halves of an open segment are open; the last node starts none.
         open_seg = np.concatenate([open_seg, [False], np.ones(len(mids), dtype=bool)])[order][:-1]
 
     hit_k, hit_p = _brackets(evals_grid, iu, ju, nu_mw)
     if not len(hit_k):
-        return [], diag
+        n_channels = 1 if isinstance(channels, pol.ThermalPolarization) else len(channels.weights)
+        labels = np.empty(0, dtype=int)
+        return Sticks(np.empty(0), np.empty((0, n_channels)), labels, labels, np.empty(0)), diag
     # Eigenvectors only where a bracket needs them, each node once.
     needed = np.unique(np.concatenate([hit_k, hit_k + 1]))
     evals, evecs = np.linalg.eigh(h0 + bgrid[needed, None, None] * h1)
@@ -698,23 +711,10 @@ def find_resonances(
                 needed[lo : hi + 1], evals[lo : hi + 1], evecs[lo : hi + 1], diag,
             )
         )
-    if not sum(len(b[0]) for b in blocks):
-        return [], diag
-    b_res, slope, li, lj, amps = (np.concatenate(a) for a in zip(*blocks))
-
-    order = np.argsort(b_res, kind="stable")
-    sticks = [
-        Stick(
-            field_mt=float(b_res[n]),
-            amplitudes=amps[n],
-            lower=int(li[n]),
-            upper=int(lj[n]),
-            slope_mhz_per_mt=float(slope[n]),
-        )
-        for n in order
-    ]
-    diag.n_sticks = len(sticks)
-    return sticks, diag
+    arrays = [np.concatenate(a) for a in zip(*blocks)]
+    order = np.argsort(arrays[0], kind="stable")
+    diag.n_sticks = len(order)
+    return Sticks(*(a[order] for a in arrays)), diag
 
 
 def _resolve_brackets(
@@ -725,9 +725,8 @@ def _resolve_brackets(
     ``li``/``lj`` are the sorted level pairs whose transition frequency
     changes sign there; ``evals``/``evecs`` are the eigenpairs at the
     sorted grid indices ``needed``, which hold every ``hit_k`` and
-    ``hit_k + 1``.  Returns field, slope, lower and upper labels and
-    amplitudes ``(n, n_channels)`` of the brackets that give a stick, in
-    bracket order, and adds this block's counts to ``diag``.
+    ``hit_k + 1``.  Returns the :class:`Sticks` fields of the brackets that
+    give a stick, in bracket order, and adds this block's counts to ``diag``.
     """
     nu_mw = sweep.mw_frequency_mhz()
 
@@ -835,7 +834,7 @@ def _resolve_brackets(
     p_low = _hermite(tc, *(a[keep] for a in ends[1]))
     p_up = _hermite(tc, *(a[keep] for a in ends[2]))
     amps = moment[:, None] * (p_low - p_up) / (np.abs(slope)[:, None] / 1e3)
-    return b_res, slope, li, lj, amps
+    return b_res, amps, li, lj, slope
 
 
 def _lineshape_kernel(offsets: np.ndarray, sweep: FieldSweepConfig) -> np.ndarray:
@@ -847,19 +846,16 @@ def _lineshape_kernel(offsets: np.ndarray, sweep: FieldSweepConfig) -> np.ndarra
     return np.exp(-0.5 * (offsets / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def convolve_lineshape(sticks: list[Stick], sweep: FieldSweepConfig) -> np.ndarray:
+def convolve_lineshape(sticks: Sticks, sweep: FieldSweepConfig) -> np.ndarray:
     """Sum of unit-area lines, one per stick; shape (n_channels, n_points).
 
     Lines centered inside the sweep window are renormalized on the sampled
     grid so each carries exactly its stick amplitude as integrated area;
     lines in the padding margin keep the analytic normalization and only
-    contribute their tails.
+    contribute their tails.  A record without sticks gives zeros.
     """
     axis = sweep.field_axis()
-    if not sticks:
-        return np.zeros((1, len(axis)))
-    centers = np.array([s.field_mt for s in sticks])
-    amps = np.stack([s.amplitudes for s in sticks], axis=1)
+    centers, amps = sticks.field_mt, sticks.amplitudes.T
     db = axis[1] - axis[0]
     inside = (centers >= sweep.field_start_mt) & (centers <= sweep.field_stop_mt)
     total = np.zeros((len(amps), len(axis)))
@@ -930,9 +926,10 @@ def orientation_average(
     Hamiltonian ``h0 + B h1`` in MHz (B in mT), the x, y, z spin operators
     whose components transverse to the field drive the transitions, and the
     population channels (``PopulationChannels`` or ``pol.ThermalPolarization``).
-    Each orientation gives an ``(n_channels, n_points)`` block, zero where
-    nothing resonates, with one row per channel of orientation 0 (one for
-    Boltzmann populations); the total is ``sum(weight * block)`` in order.
+    Each orientation's :class:`Sticks` record, convolved, gives an
+    ``(n_channels, n_points)`` block, zero where nothing resonates, with one
+    row per population channel (one for Boltzmann populations); the total is
+    ``sum(weight * block)`` in order, shaped like the first block.
 
     Orientations are dealt in turn to the workers, one per CPU the process
     may use: the calling thread computes orientations 0, ``_WORKERS``, ...
@@ -949,9 +946,8 @@ def orientation_average(
 
     def block(orientation: LabOrientation):
         h0, h1, spin_xyz, channels = parts(orientation)
-        transverse = _transverse_ops(orientation, spin_xyz)
-        sticks, diag = find_resonances(h0, h1, sweep, channels, transverse)
-        return (convolve_lineshape(sticks, sweep) if sticks else None), diag, channels
+        sticks, diag = find_resonances(h0, h1, sweep, channels, _transverse_ops(orientation, spin_xyz))
+        return convolve_lineshape(sticks, sweep), diag
 
     # The calling thread computes its own orientations here rather than
     # waiting: its memory arena is already grown, so a helper in its place
@@ -966,14 +962,11 @@ def orientation_average(
                 if j % workers:
                     pending.append(_POOL.submit(block, orientations[j]))
             queued = i + window
-            spectrum, diag, channels = pending.popleft().result() if i % workers else block(orientations[i])
+            spectrum, diag = pending.popleft().result() if i % workers else block(orientations[i])
             if i == 0:
-                n_channels = 1 if isinstance(channels, pol.ThermalPolarization) else len(channels.weights)
-                total = np.zeros((n_channels, sweep.n_points))
+                total = np.zeros_like(spectrum)
             diags.add(diag)
-            # Nothing resonates: adding weight * 0 would leave the total as it is.
-            if spectrum is not None:
-                total += weights[i] * spectrum
+            total += weights[i] * spectrum
     finally:
         for future in pending:
             future.cancel()
@@ -1033,23 +1026,28 @@ def stick_spectrum(
     model: pol.PolarizationModel,
     sweep: FieldSweepConfig,
 ) -> list[Stick]:
-    """Resonance sticks of the dimer at one orientation (single channel).
+    """Resonance sticks of the dimer at one orientation (single channel), in field order.
 
-    ``electron_m``/``nuclear_m`` of each stick are <v|S.n|v> and <v|I.n|v>
-    of its lower and upper levels, from a diagonalization at its own field.
+    The :class:`Sticks` record of :func:`find_resonances`, one :class:`Stick`
+    per row, with ``electron_m``/``nuclear_m``: <v|S.n|v> and <v|I.n|v> of
+    its lower and upper levels, from a diagonalization at its own field.
     """
     h0, h1, s_tot, channels = _dimer_parts(spec, _model_channels(spec, model))(orientation)
     sticks, _ = find_resonances(h0, h1, sweep, channels, _transverse_ops(orientation, s_tot))
     n = orientation.unit_vector()
     nuc = spincore.product_operators()["nucleus"]
     axis_ops = [sum(n[c] * ops[c] for c in range(3)) for ops in (s_tot, nuc)]
-    for stick in sticks:
+    records = []
+    for k, b in enumerate(sticks.field_mt.tolist()):
+        labels = [int(sticks.lower[k]), int(sticks.upper[k])]
         # One stick at a time: a batch would hold every stick's 48 x 48 matrices.
-        pair = np.linalg.eigh(h0 + stick.field_mt * h1)[1][:, [stick.lower, stick.upper]]
-        stick.electron_m, stick.nuclear_m = (
+        pair = np.linalg.eigh(h0 + b * h1)[1][:, labels]
+        electron_m, nuclear_m = (
             tuple(np.einsum("dk,de,ek->k", pair.conj(), op, pair).real.tolist()) for op in axis_ops
         )
-    return sticks
+        slope = float(sticks.slope_mhz_per_mt[k])
+        records.append(Stick(b, sticks.amplitudes[k], *labels, slope, electron_m, nuclear_m))
+    return records
 
 
 def _simulate(

@@ -431,10 +431,7 @@ def bilinear(tensor: np.ndarray, left: tuple[np.ndarray, ...], right: tuple[np.n
 def _field_free_hamiltonian(spec: SpinSystemSpec) -> np.ndarray:
     ops = product_operators()
     s1, s2, nuc = ops["triplet"], ops["doublet"], ops["nucleus"]
-    h = np.zeros((DIM, DIM), dtype=complex)
-    j_mhz = spec.exchange_mhz
-    for a in range(3):
-        h -= j_mhz * (s1[a] @ s2[a])
+    h = bilinear(-spec.exchange_mhz * np.eye(3), s1, s2)
     h += bilinear(spec.dipolar_tensor().matrix(), s1, s2)
     h += bilinear(spec.zfs.matrix(), s1, s1)
     h += bilinear(spec.a_vo.matrix(), nuc, s2)

@@ -997,6 +997,21 @@ def test_cli_fit_trepr_rejects_repeated_data_names(tmp_path, capsys):
     assert not list(tmp_path.glob("demo*"))
 
 
+def test_cli_fit_trepr_rejects_data_outside_the_sweep(tmp_path, capsys):
+    # A 250-430 mT data axis against a 300-380 mT sweep: the basis spectra
+    # would be held at their edge values on 112 of the 200 points.
+    data = tmp_path / "wide.csv"
+    dataio.save_spectrum_csv(data, sp.Spectrum(np.linspace(250.0, 430.0, 200), np.ones(200)))
+    cfg = tmp_path / "fit.cfg"
+    text = _dimer_cfg(tmp_path, SINGLE_SCHEME).replace("field_start_mt = 240.0", "field_start_mt = 300.0")
+    cfg.write_text(text.replace("field_stop_mt = 440.0", "field_stop_mt = 380.0") + FIT_BLOCK)
+    assert cli.entry(["fit-trepr", "--config", str(cfg), "--data", str(data)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: validation: dataset 'wide': field axis [250.0, 430.0] mT leaves the sweep window "
+        "[300.0, 380.0] mT"]
+    assert not list(tmp_path.glob("demo*"))
+
+
 def _ta_fixture(tmp_path, lifetimes=(1.1, 4.63e7), noise=0.01, seed=3):
     model = kin.SequentialModel(lifetimes=lifetimes, irf_fwhm=0.25, t0=0.0)
     w = np.linspace(430, 700, 40)

@@ -73,6 +73,16 @@ def test_problem_validation(system, crystal_bases):
         _problem(system, datasets, ("a2", "bogus"))
     with pytest.raises(ValueError, match="dataset names must be distinct; repeated: set0$"):
         _problem(system, datasets * 2, ("a2",))
+    # The basis would be held at its edge values outside the 240-440 mT sweep.
+    for lo, hi in ((230.0, 430.0), (250.0, 450.0)):
+        wide = fit.FitDataset("wide", sp.Spectrum(np.linspace(lo, hi, 64), np.zeros(64)), ORIENTATIONS[0])
+        with pytest.raises(ValueError, match=rf"^dataset 'wide': field axis \[{lo}, {hi}\] mT leaves "
+                                             r"the sweep window \[240.0, 440.0\] mT$"):
+            _problem(system, datasets + (wide,), ("a2",))
+    # The 11 significant digits of a spectrum CSV may round the sweep's own
+    # ends outward.
+    rounded = np.linspace(240.0 * (1 - 4e-11), 440.0 * (1 + 4e-11), 64)
+    _problem(system, (fit.FitDataset("csv", sp.Spectrum(rounded, np.zeros(64)), ORIENTATIONS[0]),), ("a2",))
     problem = _problem(system, datasets, ("a1", "rho_n", "a3"))
     assert problem.free_coefficients == ("a1", "a3")
     assert problem.fits_nuclear

@@ -210,6 +210,34 @@ def test_coupled_states_orthonormal():
     assert_allclose(along_z, np.kron(sc.coupled_transform(), np.eye(8)), atol=1e-12)
 
 
+def _coupled_states_by_rotation(orientation):
+    """Field-quantized coupled states, diagonalizing Sy of each spin on every call."""
+
+    def rotation(s):
+        _, sy, sz = sc.spin_operators(s)
+        phase = np.diag(np.exp(-1j * orientation.phi * np.real(np.diag(sz))))
+        evals, evecs = np.linalg.eigh(sy)
+        return phase @ ((evecs * np.exp(-1j * orientation.theta * evals)) @ evecs.conj().T)
+
+    u = np.kron(np.kron(rotation(sc.SPIN_TRIPLET), rotation(sc.SPIN_DOUBLET)), rotation(sc.SPIN_NUCLEUS))
+    return u @ np.kron(sc.coupled_transform(), np.eye(8))
+
+
+def test_coupled_states_reuse_the_sy_eigenpairs(monkeypatch):
+    # After one call, the rotations reuse each spin's cached Sy eigenpairs
+    # and diagonalize nothing, with the same bits as diagonalizing each time.
+    pol.coupled_states_along(sc.LabOrientation(0.5, 0.5))
+    orientations = [sc.LabOrientation(0.0), sc.LabOrientation(1.2, 0.7), sc.LabOrientation(2.9, 5.1)]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    states = [pol.coupled_states_along(o) for o in orientations]
+    assert not calls
+    monkeypatch.undo()
+    for o, got in zip(orientations, states):
+        assert got.tobytes() == _coupled_states_by_rotation(o).tobytes()
+
+
 def test_initial_density_matrix_is_hermitian_traceless():
     spec = sc.vanadyl_porphyrin_dimer()
     model = pol.PhotoQuartetPolarization(TABLE_PARAMS, TABLE_NUCLEAR)

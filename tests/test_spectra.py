@@ -122,7 +122,7 @@ def _doublet_search(g_z, a_z, sweep):
 def test_isolated_doublet_resonance_field():
     sweep = sp.FieldSweepConfig(field_start_mt=300, field_stop_mt=380, search_points=101)
     sticks, diag = _doublet_search(2.0023, 0.0, sweep)
-    fields = sorted({round(s.field_mt, 6) for s in sticks})
+    fields = sorted({round(b, 6) for b in sticks.field_mt.tolist()})
     assert len(fields) == 1
     assert math.isclose(fields[0], oracles.isolated_doublet_field(9500.0, 2.0023), abs_tol=1e-6)
     assert diag.n_sticks == len(sticks)
@@ -131,15 +131,14 @@ def test_isolated_doublet_resonance_field():
 def test_hyperfine_octet_positions_match_first_order_formula():
     sweep = sp.FieldSweepConfig(field_start_mt=280, field_stop_mt=400, search_points=241)
     sticks, _ = _doublet_search(1.964, 475.0, sweep)
-    fields = np.array(sorted(s.field_mt for s in sticks))
+    fields = np.sort(sticks.field_mt)
     expected = np.sort(oracles.doublet_resonance_fields(9500.0, 1.964, 475.0))
     assert len(fields) == 8
     # transition frequencies are linear in B here, so interpolation is exact
     assert_allclose(fields, expected, atol=1e-6)
     spacing = np.diff(fields)
     assert_allclose(spacing, spacing[0], rtol=1e-9)
-    for s in sticks:
-        assert s.amplitude > 0  # thermal populations absorb
+    assert (sticks.amplitudes[:, 0] > 0).all()  # thermal populations absorb
 
 
 def test_thermal_dimer_sticks_absorptive():
@@ -172,10 +171,16 @@ def _weak_dimer():
     )
 
 
+def _dimer_search(spec, orientation, model, sweep):
+    """``find_resonances`` of the dimer at one orientation, as ``stick_spectrum`` runs it."""
+    h0, h1, s_tot, channels = sp._dimer_parts(spec, sp._model_channels(spec, model))(orientation)
+    return sp.find_resonances(h0, h1, sweep, channels, sp._transverse_ops(orientation, s_tot))[0]
+
+
 def _assert_same_sticks(sticks, reference, field_tol_mt):
     assert len(sticks) == len(reference)
-    assert [(s.lower, s.upper) for s in sticks] == [(s.lower, s.upper) for s in reference]
-    assert max(abs(s.field_mt - r.field_mt) for s, r in zip(sticks, reference)) <= field_tol_mt
+    assert np.array_equal(sticks.lower, reference.lower) and np.array_equal(sticks.upper, reference.upper)
+    assert np.abs(sticks.field_mt - reference.field_mt).max() <= field_tol_mt
 
 
 def test_search_window_independent_of_grid_step():
@@ -186,11 +191,11 @@ def test_search_window_independent_of_grid_step():
     for theta, phi in ((0.3927, math.pi), (0.4437, 3.6541)):
         orientation = sc.LabOrientation(theta, phi)
         coarse, fine = (
-            sp.stick_spectrum(spec, orientation, WEAK_THERMAL, sp.FieldSweepConfig(search_points=n))
+            _dimer_search(spec, orientation, WEAK_THERMAL, sp.FieldSweepConfig(search_points=n))
             for n in (151, 601)
         )
         _assert_same_sticks(coarse, fine, 1e-4)
-        assert min(s.field_mt for s in coarse) >= 240.0 - 12 * 1.8
+        assert coarse.field_mt.min() >= 240.0 - 12 * 1.8
 
 
 def test_double_crossing_inside_one_grid_step():
@@ -207,8 +212,8 @@ def test_double_crossing_inside_one_grid_step():
         field_start_mt=300.0, field_stop_mt=380.0, search_points=41, slope_floor_ghz_per_mt=1e-6
     )
     sticks, diag = sp.find_resonances(h0, h1, sweep, pol.ThermalPolarization(1.0), (sx, sy))
-    assert_allclose([s.field_mt for s in sticks], [b_min - half, b_min + half], atol=1e-6)
-    assert all(s.amplitude > 0 for s in sticks)
+    assert_allclose(sticks.field_mt, [b_min - half, b_min + half], atol=1e-6)
+    assert (sticks.amplitudes[:, 0] > 0).all()
     assert diag.n_subdivided > 0 and diag.n_sticks == 2
 
 
@@ -221,12 +226,12 @@ FALLBACK_SWEEP = sp.FieldSweepConfig(
 def _assert_on_resonance(h0, h1, sticks):
     # An independent eigh puts each stick's (lower, upper) pair through the
     # microwave frequency within 1e-4 mT of the stick field.
-    def mismatch(stick, field_mt):
+    def mismatch(lower, upper, field_mt):
         evals = np.linalg.eigvalsh(h0 + field_mt * h1)
-        return evals[stick.upper] - evals[stick.lower] - 9500.0
+        return evals[upper] - evals[lower] - 9500.0
 
-    for s in sticks:
-        assert mismatch(s, s.field_mt - 1e-4) * mismatch(s, s.field_mt + 1e-4) < 0, s.field_mt
+    for b, lower, upper in zip(sticks.field_mt, sticks.lower, sticks.upper):
+        assert mismatch(lower, upper, b - 1e-4) * mismatch(lower, upper, b + 1e-4) < 0, b
 
 
 def test_tie_fallback_at_exact_crossing_on_a_grid_node():
@@ -260,7 +265,7 @@ def test_untracked_fallback_at_crossing_inside_one_grid_step():
         h0, h1, FALLBACK_SWEEP, pol.ThermalPolarization(1.0), sc.spin_operators(1.0)[:2]
     )
     assert diag.n_untracked_fallback > 0
-    assert [(s.lower, s.upper) for s in sticks] == [(0, 1)]
+    assert sticks.lower.tolist() == [0] and sticks.upper.tolist() == [1]
     _assert_on_resonance(h0, h1, sticks)
 
 
@@ -351,7 +356,7 @@ def test_detuning_within_lipschitz_reach_diagonalizes_the_whole_grid():
     h0 = np.diag([0.0, 9510.0, 60000.0]).astype(complex)
     sweep = sp.FieldSweepConfig()
     sticks, diag = sp.find_resonances(h0, h1, sweep, pol.ThermalPolarization(1.0), sc.spin_operators(1.0)[:2])
-    assert sticks == [] and diag.n_subdivided == 0
+    assert len(sticks) == 0 and diag.n_subdivided == 0
     assert diag.n_grid_matrices == len(sp._search_grid(sweep))
 
 
@@ -362,8 +367,8 @@ def test_search_matches_dense_reference(weak, theta, phi):
     spec, model = (_weak_dimer(), WEAK_THERMAL) if weak else (sc.vanadyl_porphyrin_dimer(), TABLE_MODEL)
     orientation = sc.LabOrientation(theta, phi)
     default, dense = sp.FieldSweepConfig(), sp.FieldSweepConfig(search_points=4801)
-    sticks = sp.stick_spectrum(spec, orientation, model, default)
-    reference = sp.stick_spectrum(spec, orientation, model, dense)
+    sticks = _dimer_search(spec, orientation, model, default)
+    reference = _dimer_search(spec, orientation, model, dense)
     _assert_same_sticks(sticks, reference, 1e-4)
     y = sp.convolve_lineshape(sticks, default)[0]
     y_ref = sp.convolve_lineshape(reference, dense)[0]
@@ -438,21 +443,27 @@ def test_stick_labels_resonate_at_their_field():
 # -------------------------------------------------------------- lineshapes
 
 
+def _sticks(fields_mt, amplitudes):
+    """A single-channel ``Sticks`` record with the given fields and amplitudes."""
+    n = len(fields_mt)
+    return sp.Sticks(np.array(fields_mt, dtype=float), np.array(amplitudes, dtype=float).reshape(n, 1),
+                     np.zeros(n, dtype=int), np.arange(1, n + 1), np.full(n, 30.0))
+
+
 @pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
 def test_convolution_preserves_stick_area(shape):
     sweep = sp.FieldSweepConfig(
         field_start_mt=200, field_stop_mt=480, n_points=4001, lineshape=shape, linewidth_mt=1.8
     )
-    stick = sp.Stick(340.0, np.array([2.5]), 0, 1, 30.0)
-    block = sp.convolve_lineshape([stick], sweep)
+    block = sp.convolve_lineshape(_sticks([340.0], [2.5]), sweep)
     area = np.trapezoid(block[0], sweep.field_axis())
     assert math.isclose(area, 2.5, rel_tol=1e-4)
 
 
 def test_convolution_outside_window_contributes_tail_only():
     sweep = sp.FieldSweepConfig(field_start_mt=300, field_stop_mt=380, n_points=801)
-    inside = sp.convolve_lineshape([sp.Stick(340.0, np.array([1.0]), 0, 1, 30.0)], sweep)
-    outside = sp.convolve_lineshape([sp.Stick(395.0, np.array([1.0]), 0, 1, 30.0)], sweep)
+    inside = sp.convolve_lineshape(_sticks([340.0], [1.0]), sweep)
+    outside = sp.convolve_lineshape(_sticks([395.0], [1.0]), sweep)
     a_in = np.trapezoid(inside[0], sweep.field_axis())
     a_out = np.trapezoid(outside[0], sweep.field_axis())
     assert math.isclose(a_in, 1.0, rel_tol=1e-4)
@@ -461,26 +472,26 @@ def test_convolution_outside_window_contributes_tail_only():
 
 def test_opposite_sticks_cancel():
     sweep = sp.FieldSweepConfig(field_start_mt=300, field_stop_mt=380)
-    sticks = [
-        sp.Stick(340.0, np.array([1.0]), 0, 1, 30.0),
-        sp.Stick(340.0, np.array([-1.0]), 0, 2, 30.0),
-    ]
+    sticks = _sticks([340.0, 340.0], [1.0, -1.0])
     assert np.abs(sp.convolve_lineshape(sticks, sweep)).max() < 1e-14
 
 
 def test_halving_linewidth_doubles_peak():
     tall = sp.FieldSweepConfig(field_start_mt=300, field_stop_mt=380, n_points=4001, linewidth_mt=0.9)
     wide = sp.FieldSweepConfig(field_start_mt=300, field_stop_mt=380, n_points=4001, linewidth_mt=1.8)
-    stick = [sp.Stick(340.0, np.array([1.0]), 0, 1, 30.0)]
+    stick = _sticks([340.0], [1.0])
     peak_tall = sp.convolve_lineshape(stick, tall).max()
     peak_wide = sp.convolve_lineshape(stick, wide).max()
     assert math.isclose(peak_tall / peak_wide, 2.0, rel_tol=1e-2)
 
 
 def test_empty_stick_list():
-    block = sp.convolve_lineshape([], FAST_SWEEP)
-    assert block.shape == (1, FAST_SWEEP.n_points)
-    assert np.abs(block).max() == 0
+    for n_channels in (1, 48):
+        empty = sp.Sticks(np.empty(0), np.empty((0, n_channels)), np.empty(0, dtype=int),
+                          np.empty(0, dtype=int), np.empty(0))
+        block = sp.convolve_lineshape(empty, FAST_SWEEP)
+        assert block.shape == (n_channels, FAST_SWEEP.n_points)
+        assert np.abs(block).max() == 0
 
 
 # ------------------------------------------------------------ full spectra
@@ -669,6 +680,33 @@ def test_average_does_not_depend_on_worker_count(workers, n_channels):
     assert diag == serial_diag and diag.n_sticks > 0
 
 
+@pytest.mark.parametrize("channels", ["photo", "basis", "thermal"])
+def test_average_over_orientations_without_sticks(channels):
+    # Unpadded, the window 380-400 mT sits at the high-field edge of the
+    # dimer's 16-orientation powder: orientation 0 resonates only up to
+    # 374.8 mT, orientations 6, 8 and 13-15 reach into the window.
+    spec = sc.vanadyl_porphyrin_dimer()
+    sweep = sp.FieldSweepConfig(field_start_mt=380.0, field_stop_mt=400.0, n_points=256, pad_linewidths=0.0)
+    if channels == "basis":
+        units = [pol.QuartetPolarizationParams(a=c[:3], r=c[3:]) for c in np.eye(6)]
+        parts, n_channels = sp._dimer_parts(spec, sp._quartet_channels(spec, units, np.eye(8))), 48
+    else:
+        model = TABLE_MODEL if channels == "photo" else pol.ThermalPolarization(80.0)
+        parts, n_channels = sp._dimer_parts(spec, sp._model_channels(spec, model)), 1
+    scheme = sp.PowderScheme(16)
+    expected, counts = 0.0, []
+    for orientation, weight in zip(*sp.scheme_orientations(scheme)):
+        h0, h1, s_tot, population = parts(orientation)
+        sticks, _ = sp.find_resonances(h0, h1, sweep, population, sp._transverse_ops(orientation, s_tot))
+        counts.append(len(sticks))
+        expected = expected + weight * sp.convolve_lineshape(sticks, sweep)
+    assert counts[0] == 0 and 0 < sum(c > 0 for c in counts) < len(counts)
+    total, diag = sp.orientation_average(parts, sweep, scheme)
+    assert total.shape == expected.shape == (n_channels, sweep.n_points)
+    assert total.tobytes() == expected.tobytes()
+    assert diag.n_sticks == sum(counts) and np.abs(total).max() > 0
+
+
 @pytest.mark.parametrize("bad", [4, 5])
 def test_worker_error_raises_from_the_average(workers, bad):
     # One orientation raises: on two workers, orientation 4 is the calling
@@ -722,12 +760,11 @@ def test_bracket_nodes_diagonalized_once_and_blocks_match_one_block(monkeypatch)
     diagonalized.clear()
     monkeypatch.setattr(sp, "_BRACKET_VALUES", 10**9)
     monkeypatch.setattr(sp, "_NODE_CHUNK", 10**6)
-    monkeypatch.setattr(sp, "_GRID_BLOCK", 10**6)
     whole, whole_diag = sp.find_resonances(h0, h1, sweep, channels, transverse)
     assert diag == whole_diag
     _assert_same_sticks(sticks, whole, 1e-9)
-    amps, whole_amps = (np.array([s.amplitudes for s in x]) for x in (sticks, whole))
-    assert_allclose(amps, whole_amps, rtol=1e-12, atol=1e-12 * np.abs(whole_amps).max())
+    scale = np.abs(whole.amplitudes).max()
+    assert_allclose(sticks.amplitudes, whole.amplitudes, rtol=1e-12, atol=1e-12 * scale)
 
 
 def test_node_chunks_match_one_chunk(monkeypatch):
