@@ -52,7 +52,7 @@ class FieldSweepConfig:
     crossings are not diagonalized; the brackets found are those of the
     whole grid.  The
     default 51 points give the same sticks as a 1201-point search, and
-    spectra within 1.9e-6 of its peak (max |delta| / peak, measured on the
+    spectra within 1.8e-6 of its peak (max |delta| / peak, measured on the
     bundled dimer, its weak-exchange variant, a triplet and the CW doublet;
     the README lists each).  Coarser grids need more polished brackets, and
     the search slows again.
@@ -354,18 +354,20 @@ _CERT_ROUNDING = 16.0
 # A bracket whose cubic-Hermite and secant roots lie farther apart than the
 # field accuracy the search aims for is polished at its root.
 _POLISH_FIELD_MT = 1e-4
-# Block sizes of the search and of the lineshape convolution: detuning values
-# (grid points times level pairs) per detuning block, eigenvector values
-# (brackets times levels) per resolved block, nodes per derivative chunk and
-# sticks per kernel block.  They keep one orientation's temporaries at a few
-# MB (on the bundled dimer's 48-channel basis at 151 search points, a traced
-# peak of at most 7.1 MB per orientation against 16 MB unblocked; the
-# eigenpairs of the bracket nodes take up to 3.2 MB of it, and the at most 46
-# grid matrices of a certificate round, diagonalized in one call, 3.4 MB with
-# their temporary): every thread of orientation_average holds one
+# Block sizes of the search and of the lineshape convolution: eigenvector
+# values (brackets times levels) per resolved block, nodes per derivative
+# chunk and sticks per kernel block.  They keep one orientation's temporaries
+# at a few MB (on the bundled dimer's 48-channel basis at 151 search points,
+# a traced peak of at most 7.1 MB per orientation against 15 MB unblocked;
+# the eigenpairs of the bracket nodes take up to 3.2 MB of it, and the at most
+# 46 grid matrices of a certificate round, diagonalized in one call, 3.4 MB
+# with their temporary): every thread of orientation_average holds one
 # orientation's, and glibc keeps large freed temporaries in the arena of the
-# thread that freed them.
-_DETUNING_BLOCK = 16384
+# thread that freed them.  The grid stage's detuning array (diagonalized nodes
+# times level pairs) is not blocked: about 0.7 MB at 81 nodes of the 48-level
+# dimer, freed before the bracket nodes are diagonalized.  It grows with the
+# nodes: a 1201-point search, about 550 nodes, traces up to 38 MB per
+# orientation of the bundled dimer's 16-orientation powder.
 _BRACKET_VALUES = 12288
 _NODE_CHUNK = 16
 _STICK_BLOCK = 64
@@ -402,18 +404,12 @@ def _double_crossing_risk(bgrid: np.ndarray, f: np.ndarray, open_seg: np.ndarray
     return open_seg & risky.any(axis=1)
 
 
-def _detuning_blocks(evals: np.ndarray, iu: np.ndarray, ju: np.ndarray, nu_mw: float):
-    """``(s, f)`` per block of level pairs from pair ``s`` on, at most ``_DETUNING_BLOCK`` values.
-
-    ``f[k, q]`` is the transition frequency of pair ``(iu, ju)[s + q]``
-    minus ``nu_mw`` at grid point ``k``.
-    """
-    step = max(_DETUNING_BLOCK // len(evals), 1)
-    for s in range(0, len(iu), step):
-        f = evals[:, ju[s : s + step]]
-        f -= evals[:, iu[s : s + step]]
-        f -= nu_mw
-        yield s, f
+def _detuning(evals: np.ndarray, iu: np.ndarray, ju: np.ndarray, nu_mw: float) -> np.ndarray:
+    """``f[k, q]``: the transition frequency of pair ``(iu[q], ju[q])`` minus ``nu_mw`` at node ``k``."""
+    f = evals[:, ju]
+    f -= evals[:, iu]
+    f -= nu_mw
+    return f
 
 
 def _hermite(t, y0, y1, m0, m1, derivative=False):
@@ -518,17 +514,23 @@ def _moment(ops, u, w, du, dw) -> tuple[np.ndarray, np.ndarray]:
     return value, deriv
 
 
-def _track(u: np.ndarray, evecs: np.ndarray, node: np.ndarray) -> np.ndarray:
-    """Index of the column of ``evecs[node[n]]`` with the largest overlap with ``u[n]``.
+def _track_pair(u, w, evecs, node, li, lj):
+    """The columns ``i``, ``j`` of ``evecs[node[n]]`` that follow the levels ``u[n]``, ``w[n]``, and ``tie``.
 
-    Rows are grouped by node, so no per-row copy of the eigenvector matrices
-    is made.
+    Each level goes to the column of largest overlap; rows are grouped by
+    node, so no per-row copy of the eigenvector matrices is made.  Where
+    both levels pick the same column (``tie``), the sorted labels
+    ``li``/``lj`` are returned instead.
     """
-    best = np.empty(len(u), dtype=int)
+    rows_u, rows_node = np.concatenate([u, w]), np.concatenate([node, node])
+    best = np.empty(len(rows_u), dtype=int)
     for m in np.unique(node):
-        rows = np.flatnonzero(node == m)
-        best[rows] = np.abs(u[rows].conj() @ evecs[m]).argmax(axis=1)
-    return best
+        rows = np.flatnonzero(rows_node == m)
+        best[rows] = np.abs(rows_u[rows].conj() @ evecs[m]).argmax(axis=1)
+    i, j = np.split(best, 2)
+    tie = i == j
+    i[tie], j[tie] = li[tie], lj[tie]
+    return i, j, tie
 
 
 def _uncleared(ea, eb, margin, iu, ju, nu_mw) -> np.ndarray:
@@ -540,8 +542,7 @@ def _uncleared(ea, eb, margin, iu, ju, nu_mw) -> np.ndarray:
     ``|f(a) + f(b)| < margin``: testing ``|f(a) + f(b)| > margin`` alone
     decides both conditions.
     """
-    blocks = _detuning_blocks(ea + eb, iu, ju, 2.0 * nu_mw)
-    return np.concatenate([np.abs(f_sum) <= margin[:, None] for _, f_sum in blocks], axis=1)
+    return np.abs(_detuning(ea + eb, iu, ju, 2.0 * nu_mw)) <= margin[:, None]
 
 
 def _certified_grid(h0, h1, bgrid, iu, ju, nu_mw):
@@ -607,20 +608,45 @@ def _certified_grid(h0, h1, bgrid, iu, ju, nu_mw):
     return nodes, evals[nodes], is_open[nodes[:-1]]
 
 
-def _brackets(evals_grid: np.ndarray, iu: np.ndarray, ju: np.ndarray, nu_mw: float):
-    """Grid segment and level-pair index of every bracket, in (segment, pair) order.
+def _brackets(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment and level-pair index of every bracket of the detunings ``f``, in (segment, pair) order.
 
     A pair brackets a resonance on a segment where its detuning changes sign,
     or is zero at the segment's start and not at its end.
     """
-    hit_k, hit_p = [], []
-    for s, f in _detuning_blocks(evals_grid, iu, ju, nu_mw):
-        k, p = np.nonzero((f[:-1] * f[1:] < 0) | ((f[:-1] == 0) & (f[1:] != 0)))
-        hit_k.append(k)
-        hit_p.append(p + s)
-    hit_k, hit_p = np.concatenate(hit_k), np.concatenate(hit_p)
-    order = np.lexsort((hit_p, hit_k))
-    return hit_k[order], hit_p[order]
+    return np.nonzero((f[:-1] * f[1:] < 0) | ((f[:-1] == 0) & (f[1:] != 0)))
+
+
+def _grid_stage(h0, h1, sweep, iu, ju, nu_mw, diag):
+    """The search-grid fields that were diagonalized and the brackets on them.
+
+    The certified grid (:func:`_certified_grid`) is halved where a segment
+    may hold a double crossing, for at most ``_MAX_HALVINGS`` rounds.  One
+    detuning array over the nodes serves every round: each round appends the
+    midpoints' rows and reorders it with the nodes.  Returns the sorted
+    fields ``bgrid`` and the segment ``hit_k`` and level-pair index
+    ``hit_p`` of every bracket, in (segment, pair) order, and sets the grid
+    counts of ``diag``.
+    """
+    bgrid = _search_grid(sweep)
+    nodes, evals, open_seg = _certified_grid(h0, h1, bgrid, iu, ju, nu_mw)
+    bgrid = bgrid[nodes]
+    f = _detuning(evals, iu, ju, nu_mw)
+    for _ in range(_MAX_HALVINGS):
+        risky = _double_crossing_risk(bgrid, f, open_seg)
+        if not risky.any():
+            break
+        mids = 0.5 * (bgrid[:-1][risky] + bgrid[1:][risky])
+        order = np.argsort(np.concatenate([bgrid, mids]), kind="stable")
+        bgrid = np.concatenate([bgrid, mids])[order]
+        mid_evals = np.linalg.eigvalsh(h0 + mids[:, None, None] * h1)
+        f = np.concatenate([f, _detuning(mid_evals, iu, ju, nu_mw)])[order]
+        # Both halves of an open segment are open; the last node starts none.
+        open_seg = np.concatenate([open_seg, [False], np.ones(len(mids), dtype=bool)])[order][:-1]
+    diag.n_grid_matrices = len(bgrid)
+    diag.n_subdivided = len(bgrid) - len(nodes)
+    hit_k, hit_p = _brackets(f)
+    return bgrid, hit_k, hit_p
 
 
 def find_resonances(
@@ -656,12 +682,14 @@ def find_resonances(
     instead: one diagonalization at the root, a Newton step, and moment,
     populations, slope and labels from the root's own eigenvectors.
 
-    Each certificate or halving round diagonalizes its grid nodes in one
-    ``eigvalsh`` call, every bracket node in one ``eigh`` call, and the
-    brackets are resolved in blocks of at most ``_BRACKET_VALUES``
-    eigenvector values (brackets times levels: 256 brackets of the 48-level
-    dimer), so the temporaries stay the same size however many resonances
-    an orientation has.
+    The search runs in two stages.  The grid stage (:func:`_grid_stage`)
+    diagonalizes each certificate or halving round's grid nodes in one
+    ``eigvalsh`` call and reads the brackets off one detuning array over its
+    nodes, freed when the stage returns.  The bracket stage diagonalizes
+    every bracket node in one ``eigh`` call and resolves the brackets in
+    blocks of at most ``_BRACKET_VALUES`` eigenvector values (brackets times
+    levels: 256 brackets of the 48-level dimer), so its temporaries stay the
+    same size however many resonances an orientation has.
 
     Returns the :class:`Sticks` record, empty where nothing resonates, and
     the diagnostics.  Transitions flatter than the slope floor are
@@ -672,26 +700,7 @@ def find_resonances(
     iu, ju = np.triu_indices(dim, 1)
     diag = SearchDiagnostics()
 
-    bgrid = _search_grid(sweep)
-    nodes, evals_grid, open_seg = _certified_grid(h0, h1, bgrid, iu, ju, nu_mw)
-    bgrid = bgrid[nodes]
-    diag.n_grid_matrices = len(nodes)
-    for _ in range(_MAX_HALVINGS):
-        risky = np.zeros(len(bgrid) - 1, dtype=bool)
-        for _, f in _detuning_blocks(evals_grid, iu, ju, nu_mw):
-            risky |= _double_crossing_risk(bgrid, f, open_seg)
-        if not risky.any():
-            break
-        diag.n_subdivided += int(risky.sum())
-        diag.n_grid_matrices += int(risky.sum())
-        mids = 0.5 * (bgrid[:-1][risky] + bgrid[1:][risky])
-        order = np.argsort(np.concatenate([bgrid, mids]), kind="stable")
-        bgrid = np.concatenate([bgrid, mids])[order]
-        evals_grid = np.concatenate([evals_grid, np.linalg.eigvalsh(h0 + mids[:, None, None] * h1)])[order]
-        # Both halves of an open segment are open; the last node starts none.
-        open_seg = np.concatenate([open_seg, [False], np.ones(len(mids), dtype=bool)])[order][:-1]
-
-    hit_k, hit_p = _brackets(evals_grid, iu, ju, nu_mw)
+    bgrid, hit_k, hit_p = _grid_stage(h0, h1, sweep, iu, ju, nu_mw, diag)
     if not len(hit_k):
         n_channels = 1 if isinstance(channels, pol.ThermalPolarization) else len(channels.weights)
         labels = np.empty(0, dtype=int)
@@ -729,22 +738,13 @@ def _resolve_brackets(
     give a stick, in bracket order, and adds this block's counts to ``diag``.
     """
     nu_mw = sweep.mw_frequency_mhz()
-
-    def hamiltonians(fields: np.ndarray) -> np.ndarray:
-        return h0[None, :, :] + fields[:, None, None] * h1[None, :, :]
-
     # k and k+1 are adjacent integers, so their positions in the sorted
     # unique array are adjacent too.
     k0 = np.searchsorted(needed, hit_k)
     k1 = k0 + 1
 
     # Follow both levels into the next grid point by largest overlap.
-    i2, j2 = np.split(
-        _track(np.concatenate([evecs[k0, :, li], evecs[k0, :, lj]]), evecs, np.concatenate([k1, k1])), 2
-    )
-    tie = i2 == j2
-    i2[tie] = li[tie]
-    j2[tie] = lj[tie]
+    i2, j2, tie = _track_pair(evecs[k0, :, li], evecs[k0, :, lj], evecs, k1, li, lj)
     f0 = evals[k0, lj] - evals[k0, li] - nu_mw
     f1 = evals[k1, j2] - evals[k1, i2] - nu_mw
     # Tracked branch may fail to bracket; fall back to sorted labels there.
@@ -789,19 +789,12 @@ def _resolve_brackets(
     if polish.any():
         n = np.nonzero(polish)[0]
         b_root = b_res[n]
-        e_r, v_r = np.linalg.eigh(hamiltonians(b_root))
+        e_r, v_r = np.linalg.eigh(h0 + b_root[:, None, None] * h1)
         early = (t[n] < 0.5)[:, None]
         rows = np.arange(len(n))
-        ir, jr = np.split(
-            _track(
-                np.concatenate([np.where(early, v[0][n], v[2][n]), np.where(early, v[1][n], v[3][n])]),
-                v_r,
-                np.concatenate([rows, rows]),
-            ),
-            2,
+        ir, jr, _ = _track_pair(
+            np.where(early, v[0][n], v[2][n]), np.where(early, v[1][n], v[3][n]), v_r, rows, li[n], lj[n]
         )
-        same = ir == jr
-        ir[same], jr[same] = li[n][same], lj[n][same]
         ir, jr = np.minimum(ir, jr), np.maximum(ir, jr)
         root_nodes, root_levels = np.concatenate([rows, rows]), np.concatenate([ir, jr])
         vr, dvr, sr = _level_derivatives(h1, e_r, v_r, root_nodes, root_levels)

@@ -198,19 +198,30 @@ def test_search_window_independent_of_grid_step():
         assert coarse.field_mt.min() >= 240.0 - 12 * 1.8
 
 
-def test_double_crossing_inside_one_grid_step():
-    # Two-level anticrossing: nu(B) = sqrt((c - gamma B)^2 + delta^2) dips
-    # just below the microwave frequency, crossing it at b_min -+ 0.4 mT.
-    # Both crossings lie in the one initial-grid segment 340.0-342.0 mT, whose
-    # ends are both above resonance.
-    nu, gamma, b_min, half = 9500.0, 28.0, 341.0, 0.4
+DOUBLE_CROSSING_B_MIN, DOUBLE_CROSSING_HALF = 341.0, 0.4
+
+
+def _double_crossing():
+    """``(h0, h1, sweep)`` of a two-level anticrossing that resonates twice inside one grid step.
+
+    nu(B) = sqrt((c - gamma B)^2 + delta^2) dips just below the microwave
+    frequency, crossing it at b_min -+ 0.4 mT.  Both crossings lie in the one
+    initial-grid segment 340.0-342.0 mT, whose ends are both above resonance.
+    """
+    nu, gamma, b_min, half = 9500.0, 28.0, DOUBLE_CROSSING_B_MIN, DOUBLE_CROSSING_HALF
     delta = math.sqrt(nu**2 - (gamma * half) ** 2)
     h0 = 0.5 * np.array([[gamma * b_min, delta], [delta, -gamma * b_min]], dtype=complex)
     h1 = 0.5 * np.diag([-gamma, gamma]).astype(complex)
-    sx, sy, _ = sc.spin_operators(0.5)
     sweep = sp.FieldSweepConfig(
         field_start_mt=300.0, field_stop_mt=380.0, search_points=41, slope_floor_ghz_per_mt=1e-6
     )
+    return h0, h1, sweep
+
+
+def test_double_crossing_inside_one_grid_step():
+    h0, h1, sweep = _double_crossing()
+    b_min, half = DOUBLE_CROSSING_B_MIN, DOUBLE_CROSSING_HALF
+    sx, sy, _ = sc.spin_operators(0.5)
     sticks, diag = sp.find_resonances(h0, h1, sweep, pol.ThermalPolarization(1.0), (sx, sy))
     assert_allclose(sticks.field_mt, [b_min - half, b_min + half], atol=1e-6)
     assert (sticks.amplitudes[:, 0] > 0).all()
@@ -296,7 +307,7 @@ def test_certified_grid_brackets_match_every_node_scan(weak, search_points):
     for theta, phi in ((1.53, 0.10), (0.62, 5.74), (0.54, 0.21)):
         h0, h1 = _oracle_hamiltonian(spec, sc.LabOrientation(theta, phi))
         nodes, evals, open_seg = sp._certified_grid(h0, h1, bgrid, iu, ju, 9500.0)
-        k, p = sp._brackets(evals, iu, ju, 9500.0)
+        k, p = sp._brackets(sp._detuning(evals, iu, ju, 9500.0))
         assert open_seg[k].all() and (nodes[k + 1] == nodes[k] + 1).all()
         found = {(int(nodes[a]), int(iu[q]), int(ju[q])) for a, q in zip(k, p)}
         assert found == oracles.bracket_scan(h0, h1, bgrid, 9500.0)
@@ -344,8 +355,37 @@ def test_pair_on_resonance_at_a_grid_node_is_never_certified(nu):
     at = int(np.searchsorted(nodes, nu))
     assert nodes[at] == nu and open_seg[at - 1] and open_seg[at]
     assert nodes[at + 1] == nu + 1 and nodes[at - 1] == nu - 1
-    assert sp._brackets(evals, iu, ju, nu)[0].tolist() == [at]
+    assert sp._brackets(sp._detuning(evals, iu, ju, nu))[0].tolist() == [at]
     assert len(nodes) < len(bgrid)
+
+
+def _weak_thermal_halved_search():
+    """``(h0, h1, sweep)`` at an orientation of the weak-thermal scheme where the search halves segments."""
+    spec = _weak_dimer()
+    scheme = sp.AlignedScheme("perpendicular", sigma_deg=10.0, n_samples=8, tilt_nodes=3, transverse_nodes=4)
+    orientation = sp.scheme_orientations(scheme)[0][2]
+    h0, h1, _, _ = sp._dimer_parts(spec, sp._model_channels(spec, WEAK_THERMAL))(orientation)
+    return h0, h1, sp.FieldSweepConfig()
+
+
+@pytest.mark.parametrize(
+    "case", [_double_crossing, _weak_thermal_halved_search], ids=["two-level", "weak-thermal"]
+)
+def test_grid_stage_keeps_rows_aligned_through_halving(case):
+    # Each halving round appends the midpoints' detuning rows and reorders
+    # them with the nodes; the brackets read off them are those of an
+    # independent scan of the returned nodes.
+    h0, h1, sweep = case()
+    iu, ju = np.triu_indices(h0.shape[0], 1)
+    nu = sweep.mw_frequency_mhz()
+    diag = sp.SearchDiagnostics()
+    bgrid, k, p = sp._grid_stage(h0, h1, sweep, iu, ju, nu, diag)
+    midpoints = int((~np.isin(bgrid, sp._search_grid(sweep))).sum())
+    assert diag.n_subdivided == midpoints > 0
+    assert diag.n_grid_matrices == len(bgrid)
+    assert (np.diff(bgrid) > 0).all() and (np.diff(k) >= 0).all()
+    found = {(int(a), int(iu[q]), int(ju[q])) for a, q in zip(k, p)}
+    assert found == oracles.bracket_scan(h0, h1, bgrid, nu)
 
 
 def test_detuning_within_lipschitz_reach_diagonalizes_the_whole_grid():
@@ -793,8 +833,8 @@ def _traced_peak_mb(h0, h1, sweep, channels, transverse) -> float:
 
 def test_search_working_set_stays_bounded():
     # Each orientation_average thread holds one search's temporaries.  Bounds
-    # are about 1.25 times the traced peaks (5.1 and 6.8 MB); resolving every
-    # bracket in one block without node chunks traces 10.5 and 13.1 MB.
+    # are about 1.3 times the traced peaks (5.0 and 6.6 MB); resolving every
+    # bracket in one block without node chunks traces 10.5 and 12.9 MB.
     assert _traced_peak_mb(*_weak_orientation_search()) < 6.4
     spec = sc.vanadyl_porphyrin_dimer()
     orientation = sc.LabOrientation(0.84, 4.07)
