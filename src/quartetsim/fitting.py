@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.optimize import minimize  # noqa: F401 -- perfbench/tracing.py wraps fitting.minimize
 
 from . import polarization as pol
 from ._multistart import check_settings, multi_start
+from .kinetics import minimize  # noqa: F401 -- perfbench/tracing.py wraps fitting.minimize
 from .spectra import (
     FieldSweepConfig,
     OrientationScheme,
@@ -285,6 +284,13 @@ def _population_stderr(jac: np.ndarray, cost: float, p: np.ndarray, n_coeff: int
     half = vt[keep].T / sv[keep]
     rho = (np.diag(p) - np.outer(p, p)) @ half[n_coeff:n_coeff + 8]
     return tuple(float(e) for e in np.sqrt(sigma2 * (rho**2).sum(axis=1)))
+
+
+def least_squares(fun, x0, **kwargs):
+    """``scipy.optimize.least_squares``, with scipy imported on the first fit only."""
+    from scipy.optimize import least_squares
+
+    return least_squares(fun, x0, **kwargs)
 
 
 def fit_simultaneous(problem: FitProblem, model: FitModel | None = None) -> FitResult:

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import erfc, erfcx
 
 from ._multistart import check_settings, multi_start
 
@@ -100,6 +98,8 @@ def _exp_responses(delta: np.ndarray, rates: np.ndarray, sigma: float):
     evaluated in two branches so neither the erfcx factor nor the Gaussian
     prefactor overflows when rate*delta spans many hundreds.
     """
+    from scipy.special import erfc, erfcx
+
     shape = (len(rates), len(delta))
     k, d = np.broadcast_to(rates[:, None], shape), np.broadcast_to(delta, shape)
     out = np.zeros(shape)
@@ -283,6 +283,13 @@ def _projected_cost(data: TADataset, init_model: SequentialModel, fit_t0: bool, 
         return f, grad
 
     return x0, unpack, cost
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, with scipy imported on the first fit only."""
+    from scipy.optimize import minimize
+
+    return minimize(fun, x0, **kwargs)
 
 
 def global_fit(

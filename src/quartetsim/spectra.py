@@ -366,8 +366,9 @@ _POLISH_FIELD_MT = 1e-4
 # thread that freed them.  The grid stage's detuning array (diagonalized nodes
 # times level pairs) is not blocked: about 0.7 MB at 81 nodes of the 48-level
 # dimer, freed before the bracket nodes are diagonalized.  It grows with the
-# nodes: a 1201-point search, about 550 nodes, traces up to 38 MB per
-# orientation of the bundled dimer's 16-orientation powder.
+# nodes: a 1201-point search, about 550 nodes, traces up to 23 MB per
+# orientation of the bundled dimer's 16-orientation powder, the array and the
+# double-crossing check's two arrays of its size.
 _BRACKET_VALUES = 12288
 _NODE_CHUNK = 16
 _STICK_BLOCK = 64
@@ -385,16 +386,19 @@ def _search_grid(sweep: FieldSweepConfig) -> np.ndarray:
 def _double_crossing_risk(bgrid: np.ndarray, f: np.ndarray, open_seg: np.ndarray) -> np.ndarray:
     """Open segments whose ends share a sign but whose curvature allows two crossings."""
     h = np.diff(bgrid)
-    secant = np.diff(f, axis=0) / h[:, None]
-    nearest = np.minimum(np.abs(f[:-1]), np.abs(f[1:]))
     # The sag bound below stays under _SAG_SAFETY / 2 times a segment's step
     # times the largest |secant| of it and its two neighbours, so only pairs
-    # within that reach of zero on some open segment can qualify.
-    reach = np.abs(secant)
-    reach[1:] = np.maximum(reach[1:], np.abs(secant[:-1]))
-    reach[:-1] = np.maximum(reach[:-1], np.abs(secant[1:]))
-    near = (open_seg[:, None] & (nearest < 0.5 * _SAG_SAFETY * h[:, None] * reach)).any(axis=0)
-    f, secant, nearest = f[:, near], secant[:, near], nearest[:, near]
+    # within that reach of zero at an end of some open segment can qualify.
+    # The prefilter holds at most two arrays the size of f at a time.
+    reach = np.abs(np.diff(f, axis=0)) / h[:, None]
+    reach[1:] = np.maximum(reach[1:], reach[:-1])
+    reach[:-1] = np.maximum(reach[:-1], reach[1:])
+    reach *= 0.5 * _SAG_SAFETY * h[:, None]
+    near = ((np.abs(f[:-1]) < reach) | (np.abs(f[1:]) < reach))[open_seg].any(axis=0)
+    del reach
+    f = f[:, near]
+    secant = np.diff(f, axis=0) / h[:, None]
+    nearest = np.minimum(np.abs(f[:-1]), np.abs(f[1:]))
     curvature = np.zeros_like(f)
     curvature[1:-1] = 2.0 * np.diff(secant, axis=0) / (h[:-1] + h[1:])[:, None]
     side = np.sign(f[:-1])

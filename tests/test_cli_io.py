@@ -7,6 +7,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -360,6 +362,35 @@ def test_cli_dipole_rejects_nonpositive(capsys):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.entry([])
+
+
+_SCIPY_ON_FIRST_FIT = """
+import sys
+from quartetsim import cli
+
+cfg, ta_csv = sys.argv[1:]
+for argv in (["simulate", "--config", cfg], ["validate", "--config", cfg], ["dipole", "--r-nm", "0.84"]):
+    assert cli.entry(argv) == 0, argv
+assert "scipy" not in sys.modules, "scipy loaded before any fit"
+assert cli.entry(["fit-ta", "--config", cfg, "--data", ta_csv]) == 0
+assert "scipy" in sys.modules
+"""
+
+
+def test_cli_loads_scipy_only_when_fitting(tmp_path):
+    # A fresh interpreter: this test session has imported scipy already.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_dimer_cfg(tmp_path, SINGLE_SCHEME) + FIT_BLOCK + "\n[kinetics]\nlifetimes_ps = 3.0 100.0\n")
+    w = np.linspace(450.0, 650.0, 8)
+    eas = np.vstack([np.exp(-((w - 500) / 40) ** 2), -0.5 * np.exp(-((w - 600) / 30) ** 2)])
+    ta_csv = tmp_path / "ta.csv"
+    dataio.save_ta_csv(ta_csv, kin.synthetic_dataset(
+        kin.SequentialModel((4.0, 80.0)), eas, np.linspace(0.0, 400.0, 60), w))
+    src = os.path.dirname(os.path.dirname(quartetsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_FIT, str(cfg), str(ta_csv)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_cli_simulate_missing_sweep_names_section(tmp_path, capsys):

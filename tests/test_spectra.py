@@ -843,6 +843,14 @@ def test_search_working_set_stays_bounded():
     assert len(channels.weights) == 48
     transverse = sp._transverse_ops(orientation, s_tot)
     assert _traced_peak_mb(h0, h1, sp.FieldSweepConfig(search_points=151), channels, transverse) < 8.5
+    # At 1201 search points the grid stage's detuning array is 6.3 MB on the
+    # bundled dimer's worst powder orientation, and the double-crossing check
+    # holds at most two arrays of its size beside it.  The bound is about 1.3
+    # times the traced peak (22.6 MB); five full-size temporaries traced 37.9 MB.
+    orientation = sp.powder_orientations(16)[0][13]
+    h0, h1, s_tot, channels = sp._dimer_parts(spec, sp._model_channels(spec, TABLE_MODEL))(orientation)
+    transverse = sp._transverse_ops(orientation, s_tot)
+    assert _traced_peak_mb(h0, h1, sp.FieldSweepConfig(search_points=1201), channels, transverse) < 29.0
 
 
 # --------------------------------------------------------------- metadata
