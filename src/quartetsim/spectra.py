@@ -172,78 +172,42 @@ def _tilt_quadrature(sigma_deg: float, nodes: int) -> tuple[np.ndarray, np.ndarr
     return math.radians(sigma_deg) * math.sqrt(2.0) * x, w / math.sqrt(math.pi)
 
 
-def _orientation_about_bond(tilt: float, azimuth: float) -> LabOrientation:
-    """Field direction at polar angle ``tilt`` from the molecular y axis.
-
-    ``azimuth`` is measured in the plane perpendicular to the bond, from
-    molecular z toward molecular x.
-    """
-    direction = np.array(
-        [
-            math.sin(tilt) * math.sin(azimuth),
-            math.cos(tilt),
-            math.sin(tilt) * math.cos(azimuth),
-        ]
-    )
-    return LabOrientation.from_vector(direction)
-
-
-def _merge_orientations(
-    pairs: list[tuple[LabOrientation, float]]
-) -> tuple[list[LabOrientation], np.ndarray]:
-    """Merge duplicate field directions, folding B -> -B equivalents together.
-
-    Spectra are invariant under field inversion (all tensors symmetric), so
-    antipodal directions are the same measurement and their quadrature
-    weights add.  Quadrature grids built from symmetric node sets produce
-    many such repeats; merging them cuts the diagonalization count.
-    """
-    merged: dict[tuple[float, float, float], tuple[LabOrientation, float]] = {}
-    for orientation, weight in pairs:
-        v = orientation.unit_vector()
-        flip = next((c for c in (v[2], v[1], v[0]) if abs(c) > 1e-12), 1.0)
-        if flip < 0:
-            v = -v
-        key = tuple(np.round(v, 10))
-        if key in merged:
-            kept, w = merged[key]
-            merged[key] = (kept, w + weight)
-        else:
-            merged[key] = (LabOrientation.from_vector(v), weight)
-    orientations = [o for o, _ in merged.values()]
-    return orientations, np.array([w for _, w in merged.values()])
-
-
 def aligned_orientations(scheme: AlignedScheme) -> tuple[list[LabOrientation], np.ndarray]:
-    """Quadrature over field directions for a 5CB-aligned frozen sample."""
+    """Quadrature over field directions for a 5CB-aligned frozen sample.
+
+    Each quadrature node fixes the angle between the field and the bond
+    (molecular y).  The molecule spins freely about its bond, so each angle
+    carries a ring of ``n_samples`` field directions, at azimuths measured
+    from molecular z toward molecular x.
+    """
     tilts, tilt_w = _tilt_quadrature(scheme.sigma_deg, scheme.tilt_nodes)
-    pairs: list[tuple[LabOrientation, float]] = []
     if scheme.mode == "parallel":
         # Director along B: the field makes the tilt angle with the bond.
-        if scheme.sigma_deg == 0.0:
-            return [_orientation_about_bond(0.0, 0.0)], np.array([1.0])
-        for t, wt in zip(tilts, tilt_w):
-            for k in range(scheme.n_samples):
-                azim = 2 * math.pi * (k + 0.5) / scheme.n_samples
-                pairs.append((_orientation_about_bond(t, azim), wt / scheme.n_samples))
+        angles, weights = tilts, tilt_w
     else:
         # Director perpendicular to B.  With the bond tilted from the
         # director by psi at azimuth chi (chi = 0 in the plane normal to B),
-        # the bond-field angle obeys cos(angle) = sin(psi) sin(chi); the
-        # molecule stays free to spin about its own bond.
-        for t, wt in zip(tilts, tilt_w):
-            for j in range(scheme.transverse_nodes):
-                chi = 2 * math.pi * (j + 0.5) / scheme.transverse_nodes
-                bond_angle = math.acos(max(-1.0, min(1.0, math.sin(t) * math.sin(chi))))
-                for k in range(scheme.n_samples):
-                    azim = 2 * math.pi * (k + 0.5) / scheme.n_samples
-                    pairs.append(
-                        (
-                            _orientation_about_bond(bond_angle, azim),
-                            wt / (scheme.transverse_nodes * scheme.n_samples),
-                        )
-                    )
-    return _merge_orientations(pairs)
+        # the bond-field angle obeys cos(angle) = sin(psi) sin(chi).
+        nodes = scheme.transverse_nodes
+        chi = 2 * np.pi * (np.arange(nodes) + 0.5) / nodes
+        angles = np.arccos(np.clip(np.outer(np.sin(tilts), np.sin(chi)), -1.0, 1.0)).ravel()
+        weights = np.repeat(tilt_w / nodes, nodes)
+    azimuth = 2 * np.pi * (np.arange(scheme.n_samples) + 0.5) / scheme.n_samples
+    sin_angle, cos_angle = np.sin(angles)[:, None], np.cos(angles)[:, None]
+    ring = np.broadcast_arrays(sin_angle * np.sin(azimuth), cos_angle, sin_angle * np.cos(azimuth))
+    v = np.stack(ring, axis=-1).reshape(-1, 3)
+    w = np.repeat(weights / scheme.n_samples, scheme.n_samples)
+    # Spectra are invariant under field inversion (all tensors symmetric),
+    # so antipodes are the same measurement: make the first of z, y, x above
+    # 1e-12 in magnitude positive, then merge repeats, adding their weights,
+    # in order of first appearance.
+    zyx = v[:, ::-1]
+    lead = zyx[np.arange(len(v)), np.argmax(np.abs(zyx) > 1e-12, axis=1)]
+    v = np.where(lead[:, None] < 0, -v, v)
+    _, first, inverse = np.unique(np.round(v, 10), axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    merged_w = np.bincount(inverse.ravel(), weights=w)[order]  # numpy 2.0.0 gives a column
+    return [LabOrientation.from_vector(u) for u in v[first[order]]], merged_w
 
 
 def scheme_orientations(scheme: OrientationScheme) -> tuple[list[LabOrientation], np.ndarray]:

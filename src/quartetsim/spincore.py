@@ -475,49 +475,25 @@ def build_hamiltonian(spec: SpinSystemSpec, field_mt: float, orientation: LabOri
     return HermitianOperator(h0 + field_mt * h1)
 
 
-@lru_cache(maxsize=8)
-def coupled_transform(s1: float = SPIN_TRIPLET, s2: float = SPIN_DOUBLET) -> np.ndarray:
-    """Unitary mapping product states of two spins to total-spin states.
+@lru_cache(maxsize=1)
+def coupled_transform() -> np.ndarray:
+    """Clebsch-Gordan table of triplet (x) doublet, 1 (x) 1/2.
 
-    Columns are |S, m> vectors in the descending-m product basis, blocks
-    ordered by decreasing S and m descending inside each block.  Phases
-    follow the usual ladder-operator (Condon-Shortley) convention.
+    Rows are the product states |m_t, m_d> in descending-m order: (1, +),
+    (1, -), (0, +), (0, -), (-1, +), (-1, -).  Columns are the |S, m>
+    states, the quartet S = 3/2 then the doublet S = 1/2, m descending in
+    each block, with Condon-Shortley phases.
     """
-    d1 = int(round(2 * s1)) + 1
-    d2 = int(round(2 * s2)) + 1
-    dim = d1 * d2
-    ops1 = spin_operators(s1)
-    ops2 = spin_operators(s2)
-    lower = np.kron(ops1[0] - 1j * ops1[1], np.eye(d2)) + np.kron(np.eye(d1), ops2[0] - 1j * ops2[1])
-    m1 = s1 - np.arange(d1)
-    m2 = s2 - np.arange(d2)
-    m_total = (m1[:, None] + m2[None, :]).ravel()
-
-    columns: list[np.ndarray] = []
-    s_val = s1 + s2
-    while s_val >= abs(s1 - s2) - 1e-9:
-        sector = np.flatnonzero(np.abs(m_total - s_val) < 1e-9)
-        # Top state of this S block: orthogonal complement, inside the m = S
-        # sector, of every state already constructed from higher S blocks.
-        basis = np.zeros((dim, len(sector)), dtype=complex)
-        basis[sector, np.arange(len(sector))] = 1.0
-        for prev in columns:
-            basis -= np.outer(prev, prev.conj() @ basis)
-        norms = np.linalg.norm(basis, axis=0)
-        pick = int(np.argmax(norms))
-        top = basis[:, pick] / norms[pick]
-        # Fix the phase: largest-m1 component real positive.
-        lead = sector[np.argmax(np.where(np.abs(top[sector]) > 1e-12, m1[sector // d2], -np.inf))]
-        top = top * (abs(top[lead]) / top[lead])
-
-        vec = top
-        columns.append(vec)
-        for _ in range(int(round(2 * s_val))):
-            vec = lower @ vec
-            vec = vec / np.linalg.norm(vec)
-            columns.append(vec)
-        s_val -= 1.0
-    return _read_only(np.column_stack(columns))
+    a, b = math.sqrt(1 / 3), math.sqrt(2 / 3)
+    table = [
+        [1, 0, 0, 0, 0, 0],
+        [0, a, 0, 0, b, 0],
+        [0, b, 0, 0, -a, 0],
+        [0, 0, b, 0, 0, a],
+        [0, 0, a, 0, 0, -b],
+        [0, 0, 0, 1, 0, 0],
+    ]
+    return _read_only(np.array(table, dtype=complex))
 
 
 def point_dipole_coupling(distance_nm: float, g1: float, g2: float) -> float:

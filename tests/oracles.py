@@ -6,6 +6,8 @@ products with all loops written out.  No imports from quartetsim, so a bug
 in the package cannot hide in a shared code path.
 """
 
+import math
+
 import numpy as np
 
 # CODATA: Bohr magneton over Planck constant, MHz per mT.
@@ -175,3 +177,66 @@ def bracket_scan(h0: np.ndarray, h1: np.ndarray, fields, nu: float) -> set:
             if lower < upper:
                 found.add((k, int(lower), int(upper)))
     return found
+
+
+def _through_angles(v: np.ndarray) -> np.ndarray:
+    """v after the round trip through polar angles (theta, phi) and back."""
+    theta = math.acos(max(-1.0, min(1.0, v[2] / np.linalg.norm(v))))
+    # Wrapped twice: a tiny negative atan2 first wraps to exactly 2 pi.
+    phi = math.atan2(v[1], v[0]) % (2 * math.pi) % (2 * math.pi)
+    st = math.sin(theta)
+    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
+def aligned_field_directions(
+    mode: str, sigma_deg: float, n_samples: int, tilt_nodes: int, transverse_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Field directions (n, 3) and weights of an aligned sample, node by node.
+
+    Gauss-Hermite nodes of the tilt of the bond (molecular y) from the
+    director, with ``transverse_nodes`` azimuths chi of that tilt about a
+    director perpendicular to the field, give bond-field angles: the tilt
+    itself (parallel), or arccos(sin(tilt) sin(chi)) (perpendicular).  Each
+    angle carries a ring of ``n_samples`` directions about the bond, azimuth
+    from molecular z toward x.  Every direction is stored as polar angles,
+    antipodes are folded so that the first of z, y, x above 1e-12 in
+    magnitude is positive, and directions equal to 10 decimals are merged in
+    order of first appearance, adding their weights.
+    """
+    if sigma_deg == 0.0:
+        if mode == "parallel":
+            return _through_angles(np.array([0.0, 1.0, 0.0]))[None, :], np.array([1.0])
+        tilts, tilt_w = [0.0], [1.0]
+    else:
+        x, w = np.polynomial.hermite.hermgauss(tilt_nodes)
+        tilts = math.radians(sigma_deg) * math.sqrt(2.0) * x
+        tilt_w = w / math.sqrt(math.pi)
+    pairs = []
+    for t, wt in zip(tilts, tilt_w):
+        if mode == "parallel":
+            rings = [(t, wt / n_samples)]
+        else:
+            rings = []
+            for j in range(transverse_nodes):
+                chi = 2 * math.pi * (j + 0.5) / transverse_nodes
+                angle = math.acos(max(-1.0, min(1.0, math.sin(t) * math.sin(chi))))
+                rings.append((angle, wt / (transverse_nodes * n_samples)))
+        for angle, weight in rings:
+            for k in range(n_samples):
+                azimuth = 2 * math.pi * (k + 0.5) / n_samples
+                direction = np.array([
+                    math.sin(angle) * math.sin(azimuth),
+                    math.cos(angle),
+                    math.sin(angle) * math.cos(azimuth),
+                ])
+                pairs.append((_through_angles(direction), weight))
+    merged = {}
+    for v, weight in pairs:
+        flip = next((c for c in (v[2], v[1], v[0]) if abs(c) > 1e-12), 1.0)
+        if flip < 0:
+            v = -v
+        key = tuple(np.round(v, 10))
+        kept, total = merged.get(key, (v, 0.0))
+        merged[key] = (kept, total + weight)
+    directions = np.array([_through_angles(v) for v, _ in merged.values()])
+    return directions, np.array([w for _, w in merged.values()])

@@ -88,14 +88,33 @@ def test_aligned_perpendicular_zero_width_avoids_bond():
         assert abs(o.unit_vector()[1]) < 1e-12
 
 
-def test_aligned_orientations_deduplicate():
-    par = sp.AlignedScheme("parallel")
-    perp = sp.AlignedScheme("perpendicular")
-    for scheme, raw in ((par, 9 * 16), (perp, 9 * 8 * 16)):
-        orientations, weights = sp.aligned_orientations(scheme)
-        assert len(orientations) < raw  # antipodal/duplicate nodes merged
-        assert math.isclose(weights.sum(), 1.0, rel_tol=1e-10)
-        assert (weights > 0).all()
+@pytest.mark.parametrize(
+    "scheme, merged, raw",
+    [
+        (sp.AlignedScheme("parallel"), 65, 9 * 16),
+        (sp.AlignedScheme("perpendicular"), 136, 9 * 8 * 16),
+        (sp.AlignedScheme("perpendicular", 10.0, 8, 3, 4), 12, 3 * 4 * 8),
+        (sp.AlignedScheme("parallel", 10.0, 8, 2, 4), 8, 2 * 8),
+        (sp.AlignedScheme("perpendicular", 10.0, 8, 2, 4), 8, 2 * 4 * 8),
+        (sp.AlignedScheme("parallel", n_samples=9), 73, 9 * 9),
+        (sp.AlignedScheme("perpendicular", n_samples=9), 153, 9 * 8 * 9),
+        (sp.AlignedScheme("parallel", sigma_deg=0.0), 1, 16),
+        (sp.AlignedScheme("perpendicular", sigma_deg=0.0), 8, 8 * 16),
+    ],
+    ids=["parallel", "perpendicular", "weak-thermal", "trepr-fit-parallel",
+         "trepr-fit-perpendicular", "parallel-odd", "perpendicular-odd",
+         "parallel-zero-width", "perpendicular-zero-width"],
+)
+def test_aligned_orientations_deduplicate(scheme, merged, raw):
+    # Antipodal and repeated nodes merge into the node-by-node oracle's set,
+    # in its order: tests index scheme_orientations(...)[0][k].
+    orientations, weights = sp.aligned_orientations(scheme)
+    directions, expected = oracles.aligned_field_directions(*dataclasses.astuple(scheme))
+    assert len(orientations) == len(directions) == merged < raw
+    assert_allclose([o.unit_vector() for o in orientations], directions, rtol=0, atol=1e-14)
+    assert_allclose(weights, expected, rtol=0, atol=1e-15)
+    assert math.isclose(weights.sum(), 1.0, rel_tol=1e-10)
+    assert (weights > 0).all()
 
 
 def test_scheme_orientations_single():

@@ -329,13 +329,18 @@ def test_coupled_transform_unitary_and_quantum_numbers():
 
 def test_coupled_transform_clebsch_gordan_values():
     u = sc.coupled_transform()
-    # product order: (1,+),(1,-),(0,+),(0,-),(-1,+),(-1,-)
-    assert_allclose(u[:, 0].real, [1, 0, 0, 0, 0, 0], atol=1e-12)
-    assert_allclose(u[:, 1].real,
-                    [0, math.sqrt(1 / 3), math.sqrt(2 / 3), 0, 0, 0], atol=1e-12)
-    assert_allclose(u[:, 4].real,
-                    [0, math.sqrt(2 / 3), -math.sqrt(1 / 3), 0, 0, 0], atol=1e-12)
-    assert np.abs(u.imag).max() < 1e-12
+    a, b = math.sqrt(1 / 3), math.sqrt(2 / 3)
+    # Each column over the product order (1,+),(1,-),(0,+),(0,-),(-1,+),(-1,-).
+    columns = [
+        [1, 0, 0, 0, 0, 0],  # |3/2, 3/2>
+        [0, a, b, 0, 0, 0],  # |3/2, 1/2>
+        [0, 0, 0, b, a, 0],  # |3/2, -1/2>
+        [0, 0, 0, 0, 0, 1],  # |3/2, -3/2>
+        [0, b, -a, 0, 0, 0],  # |1/2, 1/2>
+        [0, 0, 0, a, -b, 0],  # |1/2, -1/2>
+    ]
+    assert_allclose(u.real, np.array(columns).T, rtol=0, atol=1e-15)
+    assert np.abs(u.imag).max() == 0.0
 
 
 # ------------------------------------------------------------ regime report
