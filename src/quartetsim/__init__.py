@@ -29,7 +29,6 @@ from .spincore import (
     build_hamiltonian,
     coupled_transform,
     point_dipole_coupling,
-    rotate_tensor,
     spin_operators,
     validate_strong_exchange,
     vanadyl_porphyrin_dimer,
@@ -112,7 +111,6 @@ __all__ = [
     "nuclear_polarization_gain",
     "point_dipole_coupling",
     "quartet_basis_spectra",
-    "rotate_tensor",
     "save_spectrum_csv",
     "save_ta_csv",
     "simulate_cw_doublet",

@@ -10,8 +10,10 @@ All couplings are stored in MHz, fields in mT (see :mod:`.constants`).
 The molecular reference frame is fixed by the chromophore geometry:
 y runs along the bond connecting the two halves of the dimer and z is
 normal to the metal-complex plane.  Anisotropic interactions carry their
-own principal frame expressed as Z-Y-Z Euler angles relative to this
-molecular frame.
+own principal frame as a rotation matrix whose columns are the principal
+axes in molecular coordinates; Z-Y-Z Euler angles (:func:`rotation_matrix`)
+enter only where a config's frame angles are read.  A rigid rotation of the
+molecule multiplies every stored frame by the rotation.
 """
 
 from __future__ import annotations
@@ -82,43 +84,22 @@ def rotation_matrix(euler_zyz: tuple[float, float, float]) -> np.ndarray:
     ])
 
 
-def euler_from_matrix(rot: np.ndarray) -> tuple[float, float, float]:
-    """Inverse of :func:`rotation_matrix` (angles in radians).
-
-    The upper-left block of the matrix holds ``(1 + cos b)`` times a rotation
-    by ``a + c`` plus ``(1 - cos b)`` times a reflection at ``a - c``, so
-    whichever of the two is well scaled gives that sum or difference, and the
-    third column gives ``a``.  At b = 0 or pi only the sum or the difference
-    is defined; c is then 0.
-    """
-    r = np.asarray(rot, dtype=float)
-    b = math.atan2(math.hypot(r[0, 2], r[1, 2]), r[2, 2])
-    if b < math.pi / 2:
-        total = math.atan2(r[1, 0] - r[0, 1], r[0, 0] + r[1, 1])
-        a = math.atan2(r[1, 2], r[0, 2]) if b > 0.0 else total
-        c = total - a
-    else:
-        diff = math.atan2(-r[1, 0] - r[0, 1], r[1, 1] - r[0, 0])
-        a = math.atan2(r[1, 2], r[0, 2]) if b < math.pi else diff
-        c = a - diff
-    return a, b, math.remainder(c, 2 * math.pi)
+_Axes = tuple[tuple[float, float, float], ...]
+_IDENTITY: _Axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
-def rotate_tensor(tensor: np.ndarray, euler_zyz: tuple[float, float, float]) -> np.ndarray:
-    """Express a rank-2 tensor given in its own frame in the parent frame.
-
-    ``euler_zyz`` rotates the parent frame onto the tensor frame, i.e. the
-    columns of the rotation matrix are the tensor principal axes written in
-    parent-frame coordinates.
-    """
-    rot = rotation_matrix(euler_zyz)
-    return rot @ np.asarray(tensor, dtype=float) @ rot.T
+def _frozen_axes(axes, what: str) -> _Axes:
+    """``axes`` as a hashable tuple of rows, checked to be finite, 3x3 and orthonormal."""
+    a = np.asarray(axes, dtype=float)
+    if a.shape != (3, 3) or not np.all(np.isfinite(a)) or np.abs(a.T @ a - np.eye(3)).max() > 1e-9:
+        raise ValueError(f"{what} must be a finite orthonormal 3x3 matrix")
+    return tuple(map(tuple, a.tolist()))
 
 
-def direction_vector(theta: float, phi: float) -> np.ndarray:
-    """Unit vector with polar angle theta from z and azimuth phi from x."""
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+def _wrap_phi(phi: float) -> float:
+    """``phi`` in [0, 2pi): ``-1e-17 % 2pi`` rounds up to 2pi, which is 0."""
+    phi %= 2 * math.pi
+    return 0.0 if phi == 2 * math.pi else phi
 
 
 def vector_angles(vec: np.ndarray) -> tuple[float, float]:
@@ -128,8 +109,7 @@ def vector_angles(vec: np.ndarray) -> tuple[float, float]:
     if norm == 0 or not np.all(np.isfinite(v)):
         raise ValueError("direction vector must be finite and nonzero")
     theta = math.acos(max(-1.0, min(1.0, v[2] / norm)))
-    phi = math.atan2(v[1], v[0]) % (2 * math.pi)
-    return theta, phi
+    return theta, _wrap_phi(math.atan2(v[1], v[0]))
 
 
 @dataclass(frozen=True)
@@ -145,14 +125,15 @@ class LabOrientation:
         if not -1e-12 <= self.theta <= math.pi + 1e-12:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
-        object.__setattr__(self, "phi", self.phi % (2 * math.pi))
+        object.__setattr__(self, "phi", _wrap_phi(self.phi))
 
     @classmethod
     def from_vector(cls, vec: np.ndarray) -> "LabOrientation":
         return cls(*vector_angles(vec))
 
     def unit_vector(self) -> np.ndarray:
-        return direction_vector(self.theta, self.phi)
+        st = math.sin(self.theta)
+        return np.array([st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)])
 
 
 @dataclass(frozen=True)
@@ -161,40 +142,30 @@ class InteractionTensor:
 
     ``principal`` is (xx, yy, zz) in the tensor eigenframe; the unit depends
     on the interaction (MHz for couplings, dimensionless for g).
-    ``euler_zyz`` orients the eigenframe in the molecular frame, columns of
-    the corresponding rotation matrix being the principal axes.
+    ``axes`` holds the principal axes as the columns of a 3x3 orthonormal
+    matrix in molecular coordinates, stored as a tuple of rows.
     """
 
     principal: tuple[float, float, float]
-    euler_zyz: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    axes: _Axes = _IDENTITY
 
     def __post_init__(self):
         if len(self.principal) != 3 or not all(math.isfinite(v) for v in self.principal):
             raise ValueError("principal values must be three finite numbers")
-        if len(self.euler_zyz) != 3 or not all(math.isfinite(v) for v in self.euler_zyz):
-            raise ValueError("Euler angles must be three finite numbers")
         object.__setattr__(self, "principal", tuple(float(v) for v in self.principal))
-        object.__setattr__(self, "euler_zyz", tuple(float(v) for v in self.euler_zyz))
+        object.__setattr__(self, "axes", _frozen_axes(self.axes, "principal axes"))
 
     def matrix(self) -> np.ndarray:
         """Symmetric 3x3 matrix in the molecular frame."""
-        return rotate_tensor(np.diag(self.principal), self.euler_zyz)
-
-    def axes(self) -> np.ndarray:
-        """Principal axes as columns, molecular-frame coordinates."""
-        return rotation_matrix(self.euler_zyz)
+        a = np.array(self.axes)
+        return a @ np.diag(self.principal) @ a.T
 
     def isotropic(self) -> float:
         return sum(self.principal) / 3.0
 
     def rotated(self, rot: np.ndarray) -> "InteractionTensor":
         """Same tensor after a global rotation of the molecule."""
-        new_axes = np.asarray(rot, dtype=float) @ self.axes()
-        return InteractionTensor(self.principal, euler_from_matrix(new_axes))
-
-
-# Principal z of the point-dipole tensor lies along the molecular bond (y).
-DIPOLAR_EULER = (math.pi / 2, math.pi / 2, 0.0)
+        return InteractionTensor(self.principal, np.asarray(rot, dtype=float) @ np.array(self.axes))
 
 
 @dataclass(frozen=True)
@@ -211,21 +182,21 @@ class FrameGeometry:
     overrides the in-plane reference axis used when quantifying the field
     direction for the population model.
 
-    ``carrier_euler`` rigidly reorients the whole molecule (and with it every
-    frame defined here) relative to the coordinate system the field angles
-    refer to; it changes under :meth:`rotated` and is identity by default.
+    ``carrier`` is the rotation matrix that rigidly reorients the whole
+    molecule (and with it every frame defined here) relative to the
+    coordinate system the field angles refer to; it changes under
+    :meth:`rotated` and is the identity by default.
     """
 
     alpha_rad: float = math.radians(45.0)
     beta_rad: float = math.radians(60.0)
     quartet_x_axis: tuple[float, float, float] | None = None
-    carrier_euler: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    carrier: _Axes = _IDENTITY
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha_rad) and math.isfinite(self.beta_rad)):
             raise ValueError("frame angles must be finite")
-        if not all(math.isfinite(v) for v in self.carrier_euler):
-            raise ValueError("carrier rotation angles must be finite")
+        object.__setattr__(self, "carrier", _frozen_axes(self.carrier, "carrier rotation"))
 
     def zfs_euler(self) -> tuple[float, float, float]:
         """Z-Y-Z angles carrying the molecular frame onto the triplet frame."""
@@ -233,7 +204,7 @@ class FrameGeometry:
 
     def triplet_axes(self) -> np.ndarray:
         """Columns x', y', z' of the triplet frame in molecular coordinates."""
-        return rotation_matrix(self.carrier_euler) @ rotation_matrix(self.zfs_euler())
+        return np.array(self.carrier) @ rotation_matrix(self.zfs_euler())
 
     def quartet_axes(self) -> np.ndarray:
         """Columns (x_Q, y_Q, z_Q) of the quartet polarization frame."""
@@ -252,11 +223,10 @@ class FrameGeometry:
     def rotated(self, rot: np.ndarray) -> "FrameGeometry":
         """Frame geometry after a rigid rotation of the whole molecule."""
         rot = np.asarray(rot, dtype=float)
-        carrier = euler_from_matrix(rot @ rotation_matrix(self.carrier_euler))
         x_ref = self.quartet_x_axis
         if x_ref is not None:
             x_ref = tuple(float(v) for v in rot @ np.asarray(x_ref, dtype=float))
-        return FrameGeometry(self.alpha_rad, self.beta_rad, x_ref, carrier)
+        return FrameGeometry(self.alpha_rad, self.beta_rad, x_ref, rot @ np.array(self.carrier))
 
 
 @dataclass(frozen=True)
@@ -274,8 +244,8 @@ class SpinSystemSpec:
         g_vo: metal-center g tensor (dimensionless principal values).
         a_vo: metal-center nuclear hyperfine tensor (MHz).
         frames: relative orientation bookkeeping, see :class:`FrameGeometry`.
-        dipolar_euler: orientation of the dipolar eigenframe; the default
-            puts the unique axis on the molecular bond.
+        dipolar_axes: principal axes of the dipolar tensor as columns; the
+            default puts the unique axis on the molecular bond.
     """
 
     exchange_cm: float
@@ -285,12 +255,13 @@ class SpinSystemSpec:
     g_vo: InteractionTensor
     a_vo: InteractionTensor
     frames: FrameGeometry = field(default_factory=FrameGeometry)
-    dipolar_euler: tuple[float, float, float] = DIPOLAR_EULER
+    dipolar_axes: _Axes = _frozen_axes(rotation_matrix((math.pi / 2, math.pi / 2, 0.0)), "dipolar axes")
 
     def __post_init__(self):
         for name in ("exchange_cm", "dipolar_mhz", "g_fp"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        object.__setattr__(self, "dipolar_axes", _frozen_axes(self.dipolar_axes, "dipolar axes"))
 
     @classmethod
     def from_parameters(
@@ -316,7 +287,7 @@ class SpinSystemSpec:
         frames = FrameGeometry(math.radians(alpha_deg), math.radians(beta_deg), quartet_x_axis)
         zfs = InteractionTensor(
             (-zfs_d_mhz / 3 + zfs_e_mhz, -zfs_d_mhz / 3 - zfs_e_mhz, 2 * zfs_d_mhz / 3),
-            frames.zfs_euler(),
+            rotation_matrix(frames.zfs_euler()),
         )
         return cls(
             exchange_cm=exchange_cm,
@@ -342,7 +313,7 @@ class SpinSystemSpec:
 
     def dipolar_tensor(self) -> InteractionTensor:
         d = self.dipolar_mhz
-        return InteractionTensor((d, d, -2 * d), self.dipolar_euler)
+        return InteractionTensor((d, d, -2 * d), self.dipolar_axes)
 
     def rotated(self, rot: np.ndarray) -> "SpinSystemSpec":
         """System after rigidly rotating the whole molecule by ``rot``."""
@@ -354,7 +325,7 @@ class SpinSystemSpec:
             g_vo=self.g_vo.rotated(rot),
             a_vo=self.a_vo.rotated(rot),
             frames=self.frames.rotated(rot),
-            dipolar_euler=self.dipolar_tensor().rotated(rot).euler_zyz,
+            dipolar_axes=self.dipolar_tensor().rotated(rot).axes,
         )
 
 

@@ -59,14 +59,6 @@ def test_rotation_matrix_matches_explicit_product(a, b, c):
     )
 
 
-@given(a=angles, b=st.floats(0.05, math.pi - 0.05), c=angles)
-@settings(max_examples=40, deadline=None)
-def test_euler_round_trip(a, b, c):
-    rot = sc.rotation_matrix((a, b, c))
-    again = sc.rotation_matrix(sc.euler_from_matrix(rot))
-    assert_allclose(again, rot, atol=1e-10)
-
-
 @pytest.mark.parametrize(
     "euler",
     [(0.3, 0.0, 0.0), (-2.0, 0.0, 1.1), (0.3, math.pi, 0.0), (0.7, math.pi, -2.5), (0.0, 0.0, 0.0),
@@ -76,7 +68,6 @@ def test_euler_round_trip_at_gimbal_lock_without_warning(euler):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rot = sc.rotation_matrix(euler)
-        assert_allclose(sc.rotation_matrix(sc.euler_from_matrix(rot)), rot, rtol=0, atol=1e-12)
         spec = sc.vanadyl_porphyrin_dimer()
         moved = spec.rotated(rot)
     assert_allclose(moved.zfs.matrix(), rot @ spec.zfs.matrix() @ rot.T, atol=1e-9)
@@ -85,21 +76,21 @@ def test_euler_round_trip_at_gimbal_lock_without_warning(euler):
 @given(p=principals, a=angles, b=angles, c=angles)
 @settings(max_examples=60, deadline=None)
 def test_rotate_tensor_preserves_eigenvalues(p, a, b, c):
-    mat = sc.rotate_tensor(np.diag(p), (a, b, c))
+    mat = sc.InteractionTensor(p, sc.rotation_matrix((a, b, c))).matrix()
     assert_allclose(mat, mat.T, atol=1e-9)
     assert_allclose(np.sort(np.linalg.eigvalsh(mat)), np.sort(p), atol=1e-8)
 
 
 def test_rotate_tensor_identity_and_z_quarter_turn():
-    diag = np.diag([1.0, 2.0, 3.0])
-    assert_allclose(sc.rotate_tensor(diag, (0.0, 0.0, 0.0)), diag, atol=1e-15)
-    quarter = sc.rotate_tensor(diag, (math.pi / 2, 0.0, 0.0))
+    p = (1.0, 2.0, 3.0)
+    assert_allclose(sc.InteractionTensor(p, sc.rotation_matrix((0.0, 0.0, 0.0))).matrix(), np.diag(p), atol=1e-15)
+    quarter = sc.InteractionTensor(p, sc.rotation_matrix((math.pi / 2, 0.0, 0.0))).matrix()
     assert_allclose(np.diag(quarter), [2.0, 1.0, 3.0], atol=1e-14)
 
 
 def test_interaction_tensor_axes_and_rotation():
-    tensor = sc.InteractionTensor((1.0, 2.0, 3.0), (0.3, 0.7, -0.2))
-    axes = tensor.axes()
+    tensor = sc.InteractionTensor((1.0, 2.0, 3.0), sc.rotation_matrix((0.3, 0.7, -0.2)))
+    axes = np.array(tensor.axes)
     assert_allclose(axes.T @ axes, np.eye(3), atol=1e-12)
     rot = sc.rotation_matrix((0.5, 1.1, 0.9))
     moved = tensor.rotated(rot)
@@ -110,11 +101,32 @@ def test_interaction_tensor_axes_and_rotation():
 def test_interaction_tensor_rejects_nonfinite():
     with pytest.raises(ValueError):
         sc.InteractionTensor((1.0, math.nan, 3.0))
+    skewed = np.eye(3)
+    skewed[0, 1] = 1e-6
+    for axes in (np.full((3, 3), math.nan), np.diag([1.0, math.inf, 1.0]), np.eye(2), np.eye(4)[:3],
+                 skewed, 2 * np.eye(3)):
+        with pytest.raises(ValueError):
+            sc.InteractionTensor((1.0, 2.0, 3.0), axes)
+
+
+def test_rotated_twice_equals_rotated_by_product():
+    spec = sc.SpinSystemSpec.from_parameters(
+        exchange_cm=0.7, dipolar_mhz=60.0, zfs_d_mhz=1135.0, zfs_e_mhz=235.0, g_fp=2.0023,
+        g_vo=(1.985, 1.99, 1.964), a_vo_mhz=(162.0, 170.0, 475.0), quartet_x_axis=(0.2, 1.0, 0.1),
+    )
+    r1, r2 = sc.rotation_matrix((0.7, 1.1, -0.4)), sc.rotation_matrix((-2.3, 0.4, 1.9))
+    twice, once = spec.rotated(r1).rotated(r2), spec.rotated(r2 @ r1)
+    for frame in (lambda s: s.zfs.matrix(), lambda s: s.g_vo.matrix(), lambda s: s.a_vo.matrix(),
+                  lambda s: s.dipolar_tensor().matrix(), lambda s: s.frames.quartet_axes()):
+        assert_allclose(frame(twice), frame(once), rtol=0, atol=1e-12)
 
 
 def test_lab_orientation_validation():
     o = sc.LabOrientation(0.3, -0.5)
     assert 0 <= o.phi < 2 * math.pi
+    # -1e-17 % 2pi rounds up to 2pi itself
+    assert sc.LabOrientation(0.3, -1e-17).phi == 0.0
+    assert sc.vector_angles((1.0, -1e-300, 0.0))[1] == 0.0
     with pytest.raises(ValueError):
         sc.LabOrientation(4.0)
     with pytest.raises(ValueError):
