@@ -319,21 +319,27 @@ _CERT_ROUNDING = 16.0
 # field accuracy the search aims for is polished at its root.
 _POLISH_FIELD_MT = 1e-4
 # Block sizes of the search and of the lineshape convolution: eigenvector
-# values (brackets times levels) per resolved block, nodes per derivative
-# chunk and sticks per kernel block.  They keep one orientation's temporaries
-# at a few MB (on the bundled dimer's 48-channel basis at 151 search points,
-# a traced peak of at most 7.1 MB per orientation against 15 MB unblocked;
-# the eigenpairs of the bracket nodes take up to 3.2 MB of it, and the at most
-# 46 grid matrices of a certificate round, diagonalized in one call, 3.4 MB
-# with their temporary): every thread of orientation_average holds one
-# orientation's, and glibc keeps large freed temporaries in the arena of the
-# thread that freed them.  The grid stage's detuning array (diagonalized nodes
-# times level pairs) is not blocked: about 0.7 MB at 81 nodes of the 48-level
-# dimer, freed before the bracket nodes are diagonalized.  It grows with the
-# nodes: a 1201-point search, about 550 nodes, traces up to 23 MB per
-# orientation of the bundled dimer's 16-orientation powder, the array and the
-# double-crossing check's two arrays of its size.
+# values (brackets times levels) per resolved block, eigenvector values (nodes
+# times levels squared) kept from the grid stage for the bracket stage, nodes
+# per derivative chunk and sticks per kernel block.  They keep one
+# orientation's temporaries at a few MB: every thread of orientation_average
+# holds one orientation's, and glibc keeps large freed temporaries in the
+# arena of the thread that freed them.  On the bundled dimer's 48-channel
+# basis at 151 search points one orientation traces a peak of 6.8 MB, against
+# 15 MB unblocked.  The kept eigenpairs have 96 slots of the 48-level dimer
+# (3.5 MB), or one per grid node on a shorter grid, held from the first
+# certificate round to the bracket stage.  The open segments' ends of one
+# orientation of the benchmark workloads number at most 57 at 51 search points
+# and 90 at 151, so a bracket node past the slots, diagonalized a second time
+# in the bracket stage, shows up only on denser grids.  The grid stage's
+# detuning array (diagonalized nodes times level pairs) is not blocked: about
+# 0.7 MB at 81 nodes of the 48-level dimer, freed when the grid stage returns.
+# It grows with the nodes: a 1201-point search, about 550 nodes, traces up to
+# 24 MB per orientation of the bundled dimer's 16-orientation powder, the
+# array, the double-crossing check's two arrays of its size and the kept
+# eigenpairs.
 _BRACKET_VALUES = 12288
+_KEPT_VECTOR_VALUES = 221184
 _NODE_CHUNK = 16
 _STICK_BLOCK = 64
 
@@ -513,7 +519,7 @@ def _uncleared(ea, eb, margin, iu, ju, nu_mw) -> np.ndarray:
     return np.abs(_detuning(ea + eb, iu, ju, 2.0 * nu_mw)) <= margin[:, None]
 
 
-def _certified_grid(h0, h1, bgrid, iu, ju, nu_mw):
+def _certified_grid(h0, h1, bgrid, iu, ju, nu_mw, store=None):
     """The nodes of ``bgrid`` to diagonalize, their eigenvalues and the open segments.
 
     By Weyl's inequality every sorted eigenvalue of ``h0 + B h1`` moves by
@@ -531,20 +537,29 @@ def _certified_grid(h0, h1, bgrid, iu, ju, nu_mw):
     too, so :func:`_double_crossing_risk` sees the curvature it would on the
     whole grid.
 
+    Every round diagonalizes its nodes with ``eigh``.  ``store`` (a
+    :class:`_NodeEigenpairs`, if given) keeps the eigenpairs of nodes that
+    may still end an open segment and lets go of the others after each
+    round, so it ends holding those of the open segments' ends, as far as
+    its slots go.
+
     Returns the sorted indices of the diagonalized nodes, their eigenvalues,
     and whether the segment from each node to the next is open.
     """
     n = len(bgrid)
     evals = np.empty((n, h0.shape[0]))
     have = np.zeros(n, dtype=bool)
+    ends = np.zeros(n, dtype=bool)  # ends of the open segments found so far
 
-    def diagonalize(nodes):
+    def diagonalize(nodes, keep):
         if len(nodes):
-            evals[nodes] = np.linalg.eigvalsh(h0 + bgrid[nodes, None, None] * h1)
+            evals[nodes], vecs = np.linalg.eigh(h0 + bgrid[nodes, None, None] * h1)
             have[nodes] = True
+            if keep and store is not None:
+                store.put(bgrid[nodes], evals[nodes], vecs)
 
     a = np.unique(np.append(np.arange(0, n, _CERT_STRIDE), n - 1))
-    diagonalize(a)
+    diagonalize(a, True)
     lam = np.linalg.eigvalsh(h1)
     lip = lam[-1] - lam[0]
     # ||h0 + B h1|| is convex in B, so the end nodes hold its largest value.
@@ -562,14 +577,20 @@ def _certified_grid(h0, h1, bgrid, iu, ju, nu_mw):
         a, b = a[kept], b[kept]
         single = b - a == 1
         open_left.append(a[single])
+        ends[a[single]] = ends[b[single]] = True
+        if store is not None:
+            wanted = ends.copy()
+            wanted[a] = wanted[b] = True
+            store.keep_only(bgrid[wanted])
         a, b = a[~single], b[~single]
         mid = (a + b) // 2
-        diagonalize(mid)
+        diagonalize(mid, True)
         a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
     open_left = np.concatenate(open_left)
     neighbours = np.concatenate([open_left - 1, open_left + 2])
     neighbours = np.unique(neighbours[(neighbours >= 0) & (neighbours < n)])
-    diagonalize(neighbours[~have[neighbours]])
+    # A new neighbour ends no open segment: the ends were diagonalized already.
+    diagonalize(neighbours[~have[neighbours]], False)
     nodes = np.flatnonzero(have)
     is_open = np.zeros(n, dtype=bool)
     is_open[open_left] = True
@@ -585,19 +606,70 @@ def _brackets(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero((f[:-1] * f[1:] < 0) | ((f[:-1] == 0) & (f[1:] != 0)))
 
 
+class _NodeEigenpairs:
+    """Eigenpairs of search nodes, kept from the grid stage for the bracket stage.
+
+    A fixed number of slots, at most ``_KEPT_VECTOR_VALUES`` eigenvector
+    values and at most one per grid node, is allocated at the first
+    :meth:`put`; each slot holds the eigenvalues and eigenvectors at one
+    field, and a NaN field marks it free.
+    """
+
+    def __init__(self, n_nodes: int):
+        self.n_nodes = n_nodes
+        self.field = np.empty(0)
+
+    def put(self, fields, evals, evecs) -> None:
+        """Keep the eigenpairs at ``fields``, the first ones first, while slots are free."""
+        if not len(self.field):
+            dim = evecs.shape[1]
+            slots = max(min(_KEPT_VECTOR_VALUES // dim**2, self.n_nodes), 1)
+            self.field = np.full(slots, np.nan)
+            self.evals = np.empty((slots, dim))
+            self.evecs = np.empty((slots, dim, dim), dtype=evecs.dtype)
+        free = np.flatnonzero(np.isnan(self.field))[: len(fields)]
+        n = len(free)
+        self.field[free], self.evals[free], self.evecs[free] = fields[:n], evals[:n], evecs[:n]
+
+    def keep_only(self, fields) -> None:
+        """Free every slot whose field is not in ``fields``."""
+        self.field[~np.isin(self.field, fields)] = np.nan
+
+    def take(self, h0, h1, fields):
+        """Eigenvalues and eigenvectors at the sorted ``fields``, emptying the store.
+
+        Fields not kept are diagonalized here, as many at a time as the
+        store had slots.
+        """
+        order = np.argsort(self.field)  # free slots (NaN) sort last
+        slot = order[np.minimum(np.searchsorted(self.field[order], fields), len(order) - 1)]
+        evals, evecs = self.evals[slot], self.evecs[slot]
+        missing = np.flatnonzero(self.field[slot] != fields)
+        chunk = len(self.field)
+        del self.evals, self.evecs
+        self.field = np.empty(0)
+        for s in range(0, len(missing), chunk):
+            m = missing[s : s + chunk]
+            evals[m], evecs[m] = np.linalg.eigh(h0 + fields[m, None, None] * h1)
+        return evals, evecs
+
+
 def _grid_stage(h0, h1, sweep, iu, ju, nu_mw, diag):
-    """The search-grid fields that were diagonalized and the brackets on them.
+    """The search-grid fields that were diagonalized, the brackets on them and the kept eigenpairs.
 
     The certified grid (:func:`_certified_grid`) is halved where a segment
     may hold a double crossing, for at most ``_MAX_HALVINGS`` rounds.  One
     detuning array over the nodes serves every round: each round appends the
-    midpoints' rows and reorders it with the nodes.  Returns the sorted
-    fields ``bgrid`` and the segment ``hit_k`` and level-pair index
-    ``hit_p`` of every bracket, in (segment, pair) order, and sets the grid
-    counts of ``diag``.
+    midpoints' rows and reorders it with the nodes.  Every node is
+    diagonalized with ``eigh``, once; a :class:`_NodeEigenpairs` keeps the
+    eigenpairs of the open segments' ends, the midpoints included, while its
+    slots last.  Returns the sorted fields ``bgrid``, the segment ``hit_k``
+    and level-pair index ``hit_p`` of every bracket, in (segment, pair)
+    order, and the store, and sets the grid counts of ``diag``.
     """
     bgrid = _search_grid(sweep)
-    nodes, evals, open_seg = _certified_grid(h0, h1, bgrid, iu, ju, nu_mw)
+    store = _NodeEigenpairs(len(bgrid))
+    nodes, evals, open_seg = _certified_grid(h0, h1, bgrid, iu, ju, nu_mw, store)
     bgrid = bgrid[nodes]
     f = _detuning(evals, iu, ju, nu_mw)
     for _ in range(_MAX_HALVINGS):
@@ -607,14 +679,16 @@ def _grid_stage(h0, h1, sweep, iu, ju, nu_mw, diag):
         mids = 0.5 * (bgrid[:-1][risky] + bgrid[1:][risky])
         order = np.argsort(np.concatenate([bgrid, mids]), kind="stable")
         bgrid = np.concatenate([bgrid, mids])[order]
-        mid_evals = np.linalg.eigvalsh(h0 + mids[:, None, None] * h1)
+        mid_evals, mid_evecs = np.linalg.eigh(h0 + mids[:, None, None] * h1)
+        store.put(mids, mid_evals, mid_evecs)
+        del mid_evecs
         f = np.concatenate([f, _detuning(mid_evals, iu, ju, nu_mw)])[order]
         # Both halves of an open segment are open; the last node starts none.
         open_seg = np.concatenate([open_seg, [False], np.ones(len(mids), dtype=bool)])[order][:-1]
     diag.n_grid_matrices = len(bgrid)
     diag.n_subdivided = len(bgrid) - len(nodes)
     hit_k, hit_p = _brackets(f)
-    return bgrid, hit_k, hit_p
+    return bgrid, hit_k, hit_p, store
 
 
 def find_resonances(
@@ -629,15 +703,14 @@ def find_resonances(
     The search covers the sweep window padded by ``pad_linewidths``
     linewidths on both sides (never below zero field) with a uniform grid
     whose step is that of ``search_points`` points across the sweep window.
-    Eigenvalues come only from the grid nodes that can border a crossing:
+    Eigenpairs come only from the grid nodes that can border a crossing:
     a Weyl bound on the level slopes certifies the other stretches of the
     grid free of any zero of (transition frequency - nu), so skipping them
     never changes which brackets are found (:func:`_certified_grid`).  A
     segment where some transition frequency could cross the microwave
     frequency twice between its ends is halved first.  A sign change of
-    (transition frequency - nu) brackets a resonance, and only bracket ends
-    are diagonalized with eigenvectors.  Level identity across a bracket
-    follows eigenvector overlap.
+    (transition frequency - nu) brackets a resonance.  Level identity across
+    a bracket follows eigenvector overlap.
 
     At both ends of a bracket, first-order perturbation theory in B gives
     the exact level slopes dE/dB = <v|h1|v> (Hellmann-Feynman) and the
@@ -650,14 +723,17 @@ def find_resonances(
     instead: one diagonalization at the root, a Newton step, and moment,
     populations, slope and labels from the root's own eigenvectors.
 
-    The search runs in two stages.  The grid stage (:func:`_grid_stage`)
-    diagonalizes each certificate or halving round's grid nodes in one
-    ``eigvalsh`` call and reads the brackets off one detuning array over its
-    nodes, freed when the stage returns.  The bracket stage diagonalizes
-    every bracket node in one ``eigh`` call and resolves the brackets in
-    blocks of at most ``_BRACKET_VALUES`` eigenvector values (brackets times
-    levels: 256 brackets of the 48-level dimer), so its temporaries stay the
-    same size however many resonances an orientation has.
+    The search runs in two stages, and diagonalizes each node once.  The
+    grid stage (:func:`_grid_stage`) diagonalizes each certificate or halving
+    round's grid nodes in one ``eigh`` call, reads the brackets off one
+    detuning array over its nodes, freed when the stage returns, and keeps
+    the eigenpairs of the open segments' ends, every bracket node among
+    them, in at most ``_KEPT_VECTOR_VALUES`` eigenvector values.  The
+    bracket stage takes the bracket nodes' eigenpairs from there, with one
+    more ``eigh`` for any node past that budget, and resolves the brackets
+    in blocks of at most ``_BRACKET_VALUES`` eigenvector values (brackets
+    times levels: 256 brackets of the 48-level dimer), so its temporaries
+    stay the same size however many resonances an orientation has.
 
     Returns the :class:`Sticks` record, empty where nothing resonates, and
     the diagnostics.  Transitions flatter than the slope floor are
@@ -668,14 +744,15 @@ def find_resonances(
     iu, ju = np.triu_indices(dim, 1)
     diag = SearchDiagnostics()
 
-    bgrid, hit_k, hit_p = _grid_stage(h0, h1, sweep, iu, ju, nu_mw, diag)
+    bgrid, hit_k, hit_p, store = _grid_stage(h0, h1, sweep, iu, ju, nu_mw, diag)
     if not len(hit_k):
         n_channels = 1 if isinstance(channels, pol.ThermalPolarization) else len(channels.weights)
         labels = np.empty(0, dtype=int)
         return Sticks(np.empty(0), np.empty((0, n_channels)), labels, labels, np.empty(0)), diag
-    # Eigenvectors only where a bracket needs them, each node once.
+    # The eigenpairs of every bracket node, in node order.
     needed = np.unique(np.concatenate([hit_k, hit_k + 1]))
-    evals, evecs = np.linalg.eigh(h0 + bgrid[needed, None, None] * h1)
+    evals, evecs = store.take(h0, h1, bgrid[needed])
+    del store
     blocks = []
     step = max(_BRACKET_VALUES // dim, 1)
     for s in range(0, len(hit_k), step):

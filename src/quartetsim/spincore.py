@@ -239,7 +239,10 @@ class SpinSystemSpec:
         dipolar_mhz: point-dipole coupling constant d in MHz; the dipolar
             tensor is diag(d, -2d, d) in the molecular frame (unique axis
             along the bond).
-        zfs: triplet zero-field splitting tensor (MHz).
+        zfs: triplet zero-field splitting tensor (MHz), with its axes in the
+            triplet frame of ``frames``: a tensor that differs from its
+            principal values on ``frames.triplet_axes()`` by more than 1e-9
+            of its norm raises ``ValueError``.
         g_fp: isotropic g of the triplet chromophore.
         g_vo: metal-center g tensor (dimensionless principal values).
         a_vo: metal-center nuclear hyperfine tensor (MHz).
@@ -262,6 +265,12 @@ class SpinSystemSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         object.__setattr__(self, "dipolar_axes", _frozen_axes(self.dipolar_axes, "dipolar axes"))
+        # The triplet frame is held twice, in ``zfs.axes`` and in ``frames``;
+        # the two must give the same tensor.
+        zfs = self.zfs.matrix()
+        in_frames = InteractionTensor(self.zfs.principal, self.frames.triplet_axes()).matrix()
+        if not np.linalg.norm(zfs - in_frames) <= 1e-9 * np.linalg.norm(zfs):
+            raise ValueError("zfs tensor does not lie in the triplet frame of frames")
 
     @classmethod
     def from_parameters(

@@ -180,6 +180,7 @@ def test_photo_dimer_sticks_have_both_signs():
 # ------------------------------------------------ resonance search accuracy
 
 WEAK_THERMAL = pol.ThermalPolarization(80.0)
+WEAK_THERMAL_SCHEME = sp.AlignedScheme("perpendicular", sigma_deg=10.0, n_samples=8, tilt_nodes=3, transverse_nodes=4)
 
 
 def _weak_dimer():
@@ -381,8 +382,7 @@ def test_pair_on_resonance_at_a_grid_node_is_never_certified(nu):
 def _weak_thermal_halved_search():
     """``(h0, h1, sweep)`` at an orientation of the weak-thermal scheme where the search halves segments."""
     spec = _weak_dimer()
-    scheme = sp.AlignedScheme("perpendicular", sigma_deg=10.0, n_samples=8, tilt_nodes=3, transverse_nodes=4)
-    orientation = sp.scheme_orientations(scheme)[0][2]
+    orientation = sp.scheme_orientations(WEAK_THERMAL_SCHEME)[0][2]
     h0, h1, _, _ = sp._dimer_parts(spec, sp._model_channels(spec, WEAK_THERMAL))(orientation)
     return h0, h1, sp.FieldSweepConfig()
 
@@ -398,7 +398,7 @@ def test_grid_stage_keeps_rows_aligned_through_halving(case):
     iu, ju = np.triu_indices(h0.shape[0], 1)
     nu = sweep.mw_frequency_mhz()
     diag = sp.SearchDiagnostics()
-    bgrid, k, p = sp._grid_stage(h0, h1, sweep, iu, ju, nu, diag)
+    bgrid, k, p, _ = sp._grid_stage(h0, h1, sweep, iu, ju, nu, diag)
     midpoints = int((~np.isin(bgrid, sp._search_grid(sweep))).sum())
     assert diag.n_subdivided == midpoints > 0
     assert diag.n_grid_matrices == len(bgrid)
@@ -739,6 +739,26 @@ def test_average_does_not_depend_on_worker_count(workers, n_channels):
     assert diag == serial_diag and diag.n_sticks > 0
 
 
+@pytest.mark.parametrize("case", ["weak-thermal", "basis"])
+def test_aligned_average_same_on_one_and_two_workers(workers, case):
+    # The weak-thermal benchmark's scheme (J = 0.03 cm^-1, 80 K), and the
+    # 48 channels of quartet_basis_spectra on the same scheme.
+    if case == "weak-thermal":
+        spec = _weak_dimer()
+        parts = sp._dimer_parts(spec, sp._model_channels(spec, WEAK_THERMAL))
+    else:
+        spec = sc.vanadyl_porphyrin_dimer()
+        units = [pol.QuartetPolarizationParams(a=c[:3], r=c[3:]) for c in np.eye(6)]
+        parts = sp._dimer_parts(spec, sp._quartet_channels(spec, units, np.eye(8)))
+    runs = []
+    for n in (2, 1):
+        workers(n)
+        runs.append(sp.orientation_average(parts, FAST_SWEEP, WEAK_THERMAL_SCHEME))
+    (total, diag), (serial_total, serial_diag) = runs
+    assert total.tobytes() == serial_total.tobytes()
+    assert diag == serial_diag and diag.n_sticks > 0
+
+
 @pytest.mark.parametrize("channels", ["photo", "basis", "thermal"])
 def test_average_over_orientations_without_sticks(channels):
     # Unpadded, the window 380-400 mT sits at the high-field edge of the
@@ -795,27 +815,35 @@ def _weak_orientation_search():
     return h0, h1, sp.FieldSweepConfig(), channels, sp._transverse_ops(orientation, s_tot)
 
 
+def _diagonalized(monkeypatch):
+    """``{"eigh": [...], "eigvalsh": [...]}``: the matrices each later call of either receives."""
+    calls = {}
+    for name in ("eigh", "eigvalsh"):
+        calls[name] = []
+
+        def counting(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls[_name].extend(np.array(a).reshape(-1, *np.shape(a)[-2:]))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 def test_bracket_nodes_diagonalized_once_and_blocks_match_one_block(monkeypatch):
     # Weak exchange: about 512 sticks in one orientation, so several bracket
     # blocks, against a search that resolves every bracket in one unchunked block.
     h0, h1, sweep, channels, transverse = _weak_orientation_search()
-    eigh = np.linalg.eigh
-    diagonalized = []
-
-    def counting_eigh(a):
-        diagonalized.append(a.copy())
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    diagonalized = _diagonalized(monkeypatch)["eigh"]
     sticks, diag = sp.find_resonances(h0, h1, sweep, channels, transverse)
     assert diag.n_sticks * h0.shape[0] > sp._BRACKET_VALUES and diag.n_subdivided == 0
-    # Every bracket node of the whole grid in one call, each once; then only
-    # the polished roots.
+    # Every node of the grid once, every bracket node of the whole grid among
+    # them; then only the polished roots.
     bgrid = sp._search_grid(sweep)
     scan = oracles.bracket_scan(h0, h1, bgrid, sweep.mw_frequency_mhz())
     nodes = sorted({k for k, _, _ in scan} | {k + 1 for k, _, _ in scan})
-    assert np.array_equal(diagonalized[0], h0 + bgrid[nodes, None, None] * h1)
-    assert diag.n_polished > 0 and sum(len(a) for a in diagonalized[1:]) == diag.n_polished
+    seen = [m.tobytes() for m in diagonalized]
+    assert all(seen.count(m.tobytes()) == 1 for m in h0 + bgrid[nodes, None, None] * h1)
+    assert diag.n_polished > 0 and len(diagonalized) == diag.n_grid_matrices + diag.n_polished
     diagonalized.clear()
     monkeypatch.setattr(sp, "_BRACKET_VALUES", 10**9)
     monkeypatch.setattr(sp, "_NODE_CHUNK", 10**6)
@@ -824,6 +852,46 @@ def test_bracket_nodes_diagonalized_once_and_blocks_match_one_block(monkeypatch)
     _assert_same_sticks(sticks, whole, 1e-9)
     scale = np.abs(whole.amplitudes).max()
     assert_allclose(sticks.amplitudes, whole.amplitudes, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _bundled_search(search_points):
+    spec = sc.vanadyl_porphyrin_dimer()
+    orientation = sc.LabOrientation(0.84, 4.07)
+    h0, h1, s_tot, channels = sp._dimer_parts(spec, sp._model_channels(spec, TABLE_MODEL))(orientation)
+    return h0, h1, sp.FieldSweepConfig(search_points=search_points), channels, sp._transverse_ops(orientation, s_tot)
+
+
+@pytest.mark.parametrize("slots", [None, 6])
+@pytest.mark.parametrize(
+    "case", [lambda: _bundled_search(51), lambda: _bundled_search(151), _weak_orientation_search],
+    ids=["dimer-51", "dimer-151", "weak"],
+)
+def test_each_node_diagonalized_once(monkeypatch, case, slots):
+    # The grid stage diagonalizes each node once, with eigh, and keeps the
+    # eigenpairs of the open segments' ends for the bracket stage.  Bracket
+    # nodes past the store's slots are diagonalized a second time, and only
+    # they; the sticks do not change.
+    h0, h1, sweep, channels, transverse = case()
+    reference, reference_diag = sp.find_resonances(h0, h1, sweep, channels, transverse)
+    bgrid, k, _, _ = sp._grid_stage(h0, h1, sweep, *np.triu_indices(48, 1), 9500.0, sp.SearchDiagnostics())
+    bracket_nodes = {m.tobytes() for m in h0 + bgrid[np.union1d(k, k + 1), None, None] * h1}
+    if slots is not None:
+        monkeypatch.setattr(sp, "_KEPT_VECTOR_VALUES", slots * 48**2)
+    calls = _diagonalized(monkeypatch)
+    sticks, diag = sp.find_resonances(h0, h1, sweep, channels, transverse)
+    # eigvalsh sees h1 alone, for the certificate's Lipschitz bound.
+    assert len(calls["eigvalsh"]) == 1 and np.array_equal(calls["eigvalsh"][0], h1)
+    assert diag == reference_diag
+    seen = [m.tobytes() for m in calls["eigh"]]
+    twice = {m for m in seen if seen.count(m) > 1}
+    assert twice <= bracket_nodes and all(seen.count(m) == 2 for m in twice)
+    assert len(seen) == diag.n_grid_matrices + diag.n_polished + len(twice)
+    if slots is None:
+        assert not twice
+    else:
+        assert len(bracket_nodes) - slots <= len(twice) < len(bracket_nodes)
+    for a, b in zip(dataclasses.astuple(sticks), dataclasses.astuple(reference)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_node_chunks_match_one_chunk(monkeypatch):

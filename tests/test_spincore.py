@@ -121,6 +121,22 @@ def test_rotated_twice_equals_rotated_by_product():
         assert_allclose(frame(twice), frame(once), rtol=0, atol=1e-12)
 
 
+def test_spec_rejects_zfs_outside_its_triplet_frame():
+    # zfs.axes and frames both hold the triplet frame; a spec whose two
+    # copies disagree would put its polarization frame off its ZFS axes.
+    g, a = sc.InteractionTensor((1.985, 1.985, 1.964)), sc.InteractionTensor((162.0, 162.0, 475.0))
+    with pytest.raises(ValueError, match="triplet frame"):
+        sc.SpinSystemSpec(1.0, 90.0, sc.InteractionTensor((-1.0, -1.0, 2.0)), 2.0023, g, a)
+    # The check compares tensors: an axial ZFS turned about z' is the same tensor.
+    turned = sc.FrameGeometry().triplet_axes() @ sc.rotation_matrix((0.8, 0.0, 0.0))
+    sc.SpinSystemSpec(1.0, 90.0, sc.InteractionTensor((-1.0, -1.0, 2.0), turned), 2.0023, g, a)
+    spec = sc.vanadyl_porphyrin_dimer()
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        spec.rotated(q * np.linalg.det(q))
+
+
 def test_lab_orientation_validation():
     o = sc.LabOrientation(0.3, -0.5)
     assert 0 <= o.phi < 2 * math.pi
