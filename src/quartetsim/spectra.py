@@ -752,7 +752,6 @@ def find_resonances(
     # The eigenpairs of every bracket node, in node order.
     needed = np.unique(np.concatenate([hit_k, hit_k + 1]))
     evals, evecs = store.take(h0, h1, bgrid[needed])
-    del store
     blocks = []
     step = max(_BRACKET_VALUES // dim, 1)
     for s in range(0, len(hit_k), step):
