@@ -519,7 +519,7 @@ def _uncleared(ea, eb, margin, iu, ju, nu_mw) -> np.ndarray:
     return np.abs(_detuning(ea + eb, iu, ju, 2.0 * nu_mw)) <= margin[:, None]
 
 
-def _certified_grid(h0, h1, bgrid, iu, ju, nu_mw, store=None):
+def _certified_grid(h0, h1, bgrid, iu, ju, nu_mw, store):
     """The nodes of ``bgrid`` to diagonalize, their eigenvalues and the open segments.
 
     By Weyl's inequality every sorted eigenvalue of ``h0 + B h1`` moves by
@@ -537,11 +537,10 @@ def _certified_grid(h0, h1, bgrid, iu, ju, nu_mw, store=None):
     too, so :func:`_double_crossing_risk` sees the curvature it would on the
     whole grid.
 
-    Every round diagonalizes its nodes with ``eigh``.  ``store`` (a
-    :class:`_NodeEigenpairs`, if given) keeps the eigenpairs of nodes that
-    may still end an open segment and lets go of the others after each
-    round, so it ends holding those of the open segments' ends, as far as
-    its slots go.
+    Every round diagonalizes its nodes with ``eigh``.  ``store``, a
+    :class:`_NodeEigenpairs`, keeps the eigenpairs of nodes that may still
+    end an open segment and lets go of the others after each round, so it
+    ends holding those of the open segments' ends, as far as its slots go.
 
     Returns the sorted indices of the diagonalized nodes, their eigenvalues,
     and whether the segment from each node to the next is open.
@@ -555,7 +554,7 @@ def _certified_grid(h0, h1, bgrid, iu, ju, nu_mw, store=None):
         if len(nodes):
             evals[nodes], vecs = np.linalg.eigh(h0 + bgrid[nodes, None, None] * h1)
             have[nodes] = True
-            if keep and store is not None:
+            if keep:
                 store.put(bgrid[nodes], evals[nodes], vecs)
 
     a = np.unique(np.append(np.arange(0, n, _CERT_STRIDE), n - 1))
@@ -578,10 +577,9 @@ def _certified_grid(h0, h1, bgrid, iu, ju, nu_mw, store=None):
         single = b - a == 1
         open_left.append(a[single])
         ends[a[single]] = ends[b[single]] = True
-        if store is not None:
-            wanted = ends.copy()
-            wanted[a] = wanted[b] = True
-            store.keep_only(bgrid[wanted])
+        wanted = ends.copy()
+        wanted[a] = wanted[b] = True
+        store.keep_only(bgrid[wanted])
         a, b = a[~single], b[~single]
         mid = (a + b) // 2
         diagonalize(mid, True)

@@ -326,7 +326,7 @@ def test_certified_grid_brackets_match_every_node_scan(weak, search_points):
     skipped = 0
     for theta, phi in ((1.53, 0.10), (0.62, 5.74), (0.54, 0.21)):
         h0, h1 = _oracle_hamiltonian(spec, sc.LabOrientation(theta, phi))
-        nodes, evals, open_seg = sp._certified_grid(h0, h1, bgrid, iu, ju, 9500.0)
+        nodes, evals, open_seg = sp._certified_grid(h0, h1, bgrid, iu, ju, 9500.0, sp._NodeEigenpairs(len(bgrid)))
         k, p = sp._brackets(sp._detuning(evals, iu, ju, 9500.0))
         assert open_seg[k].all() and (nodes[k + 1] == nodes[k] + 1).all()
         found = {(int(nodes[a]), int(iu[q]), int(ju[q])) for a, q in zip(k, p)}
@@ -349,7 +349,7 @@ def test_certified_segments_hold_no_crossing(seed, dim, n):
     mid = np.linalg.eigvalsh(h0 + 2.0 * h1)
     nu = rng.uniform(0.0, mid[-1] - mid[0])
     iu, ju = np.triu_indices(dim, 1)
-    nodes, evals, open_seg = sp._certified_grid(h0, h1, bgrid, iu, ju, nu)
+    nodes, evals, open_seg = sp._certified_grid(h0, h1, bgrid, iu, ju, nu, sp._NodeEigenpairs(len(bgrid)))
     assert_allclose(evals, np.linalg.eigvalsh(h0 + bgrid[nodes, None, None] * h1), rtol=0, atol=1e-12)
     # Open segments are single grid segments with both neighbours diagonalized.
     k = nodes[:-1][open_seg]
@@ -371,7 +371,7 @@ def test_pair_on_resonance_at_a_grid_node_is_never_certified(nu):
     bgrid = np.arange(65.0)
     h0, h1 = np.zeros((2, 2)), np.diag([0.0, 1.0])
     iu, ju = np.triu_indices(2, 1)
-    nodes, evals, open_seg = sp._certified_grid(h0, h1, bgrid, iu, ju, nu)
+    nodes, evals, open_seg = sp._certified_grid(h0, h1, bgrid, iu, ju, nu, sp._NodeEigenpairs(len(bgrid)))
     at = int(np.searchsorted(nodes, nu))
     assert nodes[at] == nu and open_seg[at - 1] and open_seg[at]
     assert nodes[at + 1] == nu + 1 and nodes[at - 1] == nu - 1
