@@ -4,18 +4,20 @@ Sequential first-order chains (A -> B -> ... -> ground state) with a
 Gaussian instrument response have closed-form concentration profiles: each
 compartment is a sum of exponentials (Bateman solution) and convolution
 with the Gaussian turns every exponential into an exponentially modified
-Gaussian.  For fixed lifetimes the evolution-associated spectra (EAS) are a
-linear least-squares problem, so the fit runs as a variable projection:
-the outer quasi-Newton search (L-BFGS-B) moves only the lifetimes
-(optionally t0 and the IRF width), in log space to span the
-ps-to-microsecond range.  Its gradient is the exact gradient of the
-projected cost (Golub & Pereyra, Inverse Problems 19, R1, 2003): with
-E = C+ D and R = D - C E, df/dtheta = -2 <R, (dC/dtheta) E>, because the
-term in dE/dtheta vanishes at the least-squares optimum E.  Only the small
-concentration matrix C is differentiated, in closed form and in the same
-pass that computes C.  The search runs from each start of the seeded
-multi-start schedule that `fitting` shares; the start with the lowest
-final cost is reported.
+Gaussian, written with erfcx, which a fixed power series evaluates here.
+For fixed lifetimes the evolution-associated spectra (EAS) are a linear
+least-squares problem, solved by the thin SVD of the small concentration
+matrix, so the fit runs as a variable projection: the outer quasi-Newton
+search (unbounded L-BFGS, `_lbfgs`) moves only the lifetimes (optionally t0
+and the IRF width), in log space to span the ps-to-microsecond range.  Its
+gradient is the exact gradient of the projected cost (Golub & Pereyra,
+Inverse Problems 19, R1, 2003): with E = C+ D and R = D - C E,
+df/dtheta = -2 <R, (dC/dtheta) E>, because the term in dE/dtheta vanishes
+at the least-squares optimum E.  Only the small concentration matrix C is
+differentiated, in closed form and in the same pass that computes C.  The
+search runs from each start of the seeded multi-start schedule that
+`fitting` shares; the start with the lowest final cost is reported.
+Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._lbfgs import minimize
 from ._multistart import check_settings, multi_start
 
 _SQRT2 = np.sqrt(2.0)
@@ -90,16 +93,46 @@ class TADataset:
         object.__setattr__(self, "delta_a", m)
 
 
+# log(erfcx(z) / t) as a power series in s = 2t - 1, t = 2 / (2 + z): the
+# degree-24 Chebyshev interpolant (fitted at 50 digits), converted to powers
+# of s, lowest first.  z in [0, inf] maps onto s in [-1, 1], and the series
+# reproduces erfcx within 1.1e-15 relative there.
+_ERFCX_SERIES = (
+    -0.6717940840566922, 0.6726432239776583, 0.047343306841863525,
+    -0.04689561023132892, -0.009872689364099222, 0.008824938561312326,
+    0.0017589335074028032, -0.002345812552995894, -0.00014624628742128406,
+    0.0006736791352568864, -9.373894767667295e-05, -0.00017430412986925938,
+    7.141810433422301e-05, 3.174693542327236e-05, -3.023784054007137e-05,
+    1.3989370477611051e-07, 8.662535397475538e-06, -2.963484230959699e-06,
+    -1.409445991433531e-06, 1.283394915356199e-06, -4.146853754663641e-08,
+    -2.895626567435524e-07, 7.745572408758512e-08, 2.980513364515168e-08,
+    -1.2776086554968677e-08,
+)
+
+
+def _erfcx(z: np.ndarray) -> np.ndarray:
+    """The scaled complementary error function exp(z^2) erfc(z), for z >= 0."""
+    t = 2.0 / (2.0 + z)
+    s = 2.0 * t - 1.0
+    acc = np.full_like(s, _ERFCX_SERIES[-1])
+    for c in _ERFCX_SERIES[-2::-1]:
+        acc *= s
+        acc += c
+    return t * np.exp(acc)
+
+
 def _exp_responses(delta: np.ndarray, rates: np.ndarray, sigma: float):
     """Unit-step decays exp(-k_i delta) convolved with a Gaussian of width sigma.
 
     Returns f, shape (n_rates, n_times), and the unit-area Gaussian g itself
-    (None when sigma is 0), which is computed once for all rates.  f is
-    evaluated in two branches so neither the erfcx factor nor the Gaussian
-    prefactor overflows when rate*delta spans many hundreds.
+    (None when sigma is 0), which is computed once for all rates.  With
+    u = (k sigma - delta / sigma) / sqrt(2) and G the unnormalized Gaussian,
+    f = erfcx(u) G / 2 for u >= 0 and f = E - erfcx(-u) G / 2 for u < 0, with
+    E = exp(-k delta + (k sigma)^2 / 2) the decay past the IRF, so neither
+    factor overflows when rate*delta spans many hundreds.  erfcx is evaluated
+    only within the IRF: for u < -6 erfc(u) rounds to 2 and f is E, and where G
+    underflows to 0 f is 0 (u >= 0) or E.
     """
-    from scipy.special import erfc, erfcx
-
     shape = (len(rates), len(delta))
     k, d = np.broadcast_to(rates[:, None], shape), np.broadcast_to(delta, shape)
     out = np.zeros(shape)
@@ -109,10 +142,12 @@ def _exp_responses(delta: np.ndarray, rates: np.ndarray, sigma: float):
         return out, None
     gauss = np.exp(-(delta**2) / (2 * sigma**2))
     u = (k * sigma - d / sigma) / _SQRT2
-    pos = u >= 0
-    out[pos] = 0.5 * erfcx(u[pos]) * np.broadcast_to(gauss, shape)[pos]
-    neg = ~pos
-    out[neg] = 0.5 * erfc(u[neg]) * np.exp(-k[neg] * d[neg] + 0.5 * (k[neg] * sigma) ** 2)
+    neg = u < 0
+    out[neg] = np.exp(-k[neg] * d[neg] + 0.5 * (k[neg] * sigma) ** 2)
+    near = (u >= -6.0) & (gauss > 0)
+    u_near = u[near]
+    half = 0.5 * _erfcx(np.abs(u_near)) * np.broadcast_to(gauss, shape)[near]
+    out[near] = np.where(u_near < 0, out[near] - half, half)
     return out, gauss / (sigma * np.sqrt(2 * np.pi))
 
 
@@ -191,19 +226,23 @@ def eas_solve(conc: np.ndarray, data: TADataset) -> np.ndarray:
     """Least-squares EAS for fixed concentration profiles.
 
     Returns the (n_compartments, n_wavelengths) spectra minimizing
-    ||delta_a - conc @ eas||_F.  Rank-deficient profiles are rejected.
+    ||delta_a - conc @ eas||_F, from the thin SVD of the small matrix conc.
+    Rank-deficient profiles are rejected, by the rank rule of
+    ``np.linalg.lstsq``: singular values at most eps * max(n_t, n_c) times the
+    largest count as zero.
     """
     c = np.asarray(conc, dtype=float)
     if c.shape[0] != len(data.times):
         raise ValueError("concentration rows must match the time axis")
-    eas, _, rank, sv = np.linalg.lstsq(c, data.delta_a, rcond=None)
+    u, sv, vt = np.linalg.svd(c, full_matrices=False)
+    rank = int(np.count_nonzero(sv > sv[0] * max(c.shape) * np.finfo(float).eps))
     if rank < c.shape[1]:
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
         raise ValueError(
             f"rank-deficient concentration matrix (rank {rank} < {c.shape[1]}, "
             f"condition number {cond:.3e})"
         )
-    return eas
+    return (vt.T / sv) @ (u.T @ data.delta_a)
 
 
 @dataclass(frozen=True)
@@ -285,13 +324,6 @@ def _projected_cost(data: TADataset, init_model: SequentialModel, fit_t0: bool, 
     return x0, unpack, cost
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, with scipy imported on the first fit only."""
-    from scipy.optimize import minimize
-
-    return minimize(fun, x0, **kwargs)
-
-
 def global_fit(
     data: TADataset,
     init_model: SequentialModel,
@@ -337,9 +369,8 @@ def global_fit(
         return trial
 
     def solve(fun, x_start: np.ndarray) -> tuple:
-        res = minimize(fun, x_start, jac=True, method="L-BFGS-B", options={
-            "maxiter": settings.max_iterations, "ftol": settings.tolerance, "gtol": settings.tolerance,
-        })
+        res = minimize(fun, x_start, maxiter=settings.max_iterations, ftol=settings.tolerance,
+                       gtol=settings.tolerance)
         return res.x, float(res.fun), bool(res.success), str(res.message)
 
     starts = multi_start(cost, solve, x0, perturb, settings.n_starts, settings.seed)

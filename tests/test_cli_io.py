@@ -368,12 +368,14 @@ _SCIPY_ON_FIRST_FIT = """
 import sys
 from quartetsim import cli
 
-cfg, ta_csv = sys.argv[1:]
+cfg, ta_csv, spectrum_csv = sys.argv[1:]
 for argv in (["simulate", "--config", cfg], ["validate", "--config", cfg], ["dipole", "--r-nm", "0.84"]):
     assert cli.entry(argv) == 0, argv
 assert "scipy" not in sys.modules, "scipy loaded before any fit"
 assert cli.entry(["fit-ta", "--config", cfg, "--data", ta_csv]) == 0
-assert "scipy" in sys.modules
+assert "scipy" not in sys.modules, "scipy loaded by fit-ta"
+assert cli.entry(["fit-trepr", "--config", cfg, "--data", spectrum_csv]) == 0
+assert "scipy" in sys.modules, "fit-trepr ran without scipy"
 """
 
 
@@ -388,8 +390,9 @@ def test_cli_loads_scipy_only_when_fitting(tmp_path):
         kin.SequentialModel((4.0, 80.0)), eas, np.linspace(0.0, 400.0, 60), w))
     src = os.path.dirname(os.path.dirname(quartetsim.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_FIT, str(cfg), str(ta_csv)],
-                         env=env, capture_output=True, text=True)
+    # fit-trepr fits the spectrum that simulate wrote, from the true parameters
+    run = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_FIT, str(cfg), str(ta_csv),
+                          str(tmp_path / "demo.csv")], env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
 
 

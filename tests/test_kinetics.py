@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from quartetsim import _lbfgs
 from quartetsim import kinetics as kin
 
 
@@ -72,6 +73,42 @@ def test_emg_stable_over_wide_dynamic_range():
     conc = kin.concentrations(model, t)
     assert np.isfinite(conc).all()
     assert conc.max() <= 1.0 + 1e-9
+
+
+
+def test_erfcx_kernel_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    z = np.concatenate([np.linspace(0.0, 10.0, 20001), np.geomspace(10.0, 1e8, 20001)])
+    assert_allclose(kin._erfcx(z), special.erfcx(z), rtol=1e-14, atol=0)
+    # erfc from the kernel as the responses use it: exp(-u^2) erfcx(|u|), and
+    # 2 minus that below 0; relative where erfc is a normal number
+    u = np.linspace(-30.0, 30.0, 60001)
+    scaled = np.exp(-u * u) * kin._erfcx(np.abs(u))
+    erfc = np.where(u < 0, 2.0 - scaled, scaled)
+    assert_allclose(erfc, special.erfc(u), rtol=1e-14, atol=np.finfo(float).tiny)
+
+
+def test_exp_responses_outside_the_irf_keep_their_closed_forms():
+    # Where erfc(u) rounds to 2 (u < -6) the response is the shifted decay
+    # exp(-k d + (k s)^2 / 2) bit for bit, and where the Gaussian underflows
+    # with u >= 0 it is exactly 0, as erfc and erfcx gave them.
+    special = pytest.importorskip("scipy.special")
+    delta = np.concatenate([np.linspace(-6.0, 20.0, 400), np.geomspace(20.0, 1e9, 200)])
+    rates = np.array([1e-8, 0.02, 0.9, 30.0])
+    sigma = 0.25 * kin._FWHM_TO_SIGMA
+    f, _ = kin._exp_responses(delta, rates, sigma)
+    k, d = rates[:, None], delta[None, :]
+    u = (k * sigma - d / sigma) / np.sqrt(2.0)
+    gauss = np.exp(-(delta**2) / (2 * sigma**2))[None, :]
+    beyond = u < -6.0
+    shifted = 0.5 * special.erfc(u) * np.exp(-k * d + 0.5 * (k * sigma) ** 2)
+    assert beyond.sum() > 1000
+    assert np.array_equal(f[beyond], shifted[beyond])
+    before = (u >= 0) & (gauss == 0)
+    assert before.any() and np.all(f[before] == 0.0)
+    near = ~beyond & ~before
+    reference = np.where(u >= 0, 0.5 * special.erfcx(np.abs(u)) * gauss, shifted)
+    assert_allclose(f[near], reference[near], rtol=1e-13, atol=0)
 
 
 def test_populations_non_negative_and_decreasing():
@@ -177,6 +214,20 @@ def test_eas_rejects_rank_deficiency():
     degenerate = np.column_stack([c[:, 0], c[:, 0]])
     with pytest.raises(ValueError, match=r"rank-deficient .*\(rank 1 < 2, condition number"):
         kin.eas_solve(degenerate, data)
+
+
+@pytest.mark.parametrize("taus, irf", [((2.0, 30.0), 0.0), ((1.1, 4.63e7), 0.2),
+                                       ((1.5, 40.0, 900.0), 0.3), ((2.9, 1500.0, 1.6e8), 0.3)])
+def test_eas_matches_lstsq(taus, irf):
+    t = np.geomspace(0.01, 10 * taus[-1], 260)
+    w = np.linspace(420, 680, 80)
+    model = kin.SequentialModel(taus, irf_fwhm=irf)
+    data = kin.synthetic_dataset(model, _three_band_eas(w, len(taus)), t, w,
+                                 noise_fraction=0.01, seed=8)
+    conc = kin.concentrations(model, t)
+    reference = np.linalg.lstsq(conc, data.delta_a, rcond=None)[0]
+    eas = kin.eas_solve(conc, data)
+    assert np.linalg.norm(eas - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def test_variable_projection_stationarity():
@@ -435,3 +486,125 @@ def test_converged_ignores_other_starts(monkeypatch, outcomes, calls, best):
     assert result.n_evaluations == sum(calls)
     flags = ", ".join(str(success) for _, success in outcomes)
     assert f"start_converged: {flags}" in kin.kinetic_report(result)
+
+
+# --------------------------------------------------------------- optimizer
+
+
+def test_minimizer_reaches_gtol_on_a_quadratic():
+    rng = np.random.default_rng(2)
+    q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+    a = q @ np.diag([1.0, 3.0, 10.0, 30.0, 100.0]) @ q.T
+    c = rng.standard_normal(5)
+    res = kin.minimize(lambda x: (0.5 * (x - c) @ a @ (x - c), a @ (x - c)), np.zeros(5),
+                       maxiter=200, ftol=0.0, gtol=1e-10)
+    assert res.success and "GRADIENT" in res.message
+    assert np.abs(a @ (res.x - c)).max() <= 1e-10
+    assert_allclose(res.x, c, rtol=1e-9)
+
+
+def test_minimizer_reaches_gtol_on_rosenbrock():
+    def rosenbrock(x):
+        f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+        g = np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+                      200.0 * (x[1] - x[0] ** 2)])
+        return f, g
+
+    res = kin.minimize(rosenbrock, np.array([-1.2, 1.0]), maxiter=500, ftol=0.0, gtol=1e-8)
+    assert res.success and "GRADIENT" in res.message
+    assert np.abs(rosenbrock(res.x)[1]).max() <= 1e-8
+    assert_allclose(res.x, [1.0, 1.0], rtol=1e-7)
+
+
+def test_minimizer_backtracks_from_infinite_cost():
+    # The first step, of length 1, lands where the cost is infinite; the line
+    # search halves it, and the next quasi-Newton step reaches the minimum.
+    seen = []
+
+    def walled(x):
+        seen.append(float(x[0]))
+        if x[0] > 0.8:
+            return np.inf, np.zeros(1)
+        return 100.0 * (x[0] - 0.3) ** 2, 200.0 * (x - 0.3)
+
+    res = kin.minimize(walled, np.zeros(1), maxiter=50, ftol=0.0, gtol=1e-10)
+    assert res.success and np.isfinite(res.fun)
+    assert seen[1] == pytest.approx(1.0) and seen[2] == pytest.approx(0.5)
+    assert_allclose(res.x, [0.3], rtol=1e-12)
+
+
+def test_line_search_caps_steps_below_an_infinite_cost():
+    # The cost still falls steeply where it turns infinite: the search halves
+    # back into the finite region and takes the longest finite step it tried,
+    # instead of extrapolating past the wall again.
+    def ramp(x):
+        return (-x[0], -np.ones(1)) if x[0] < 5.0 else (np.inf, np.zeros(1))
+
+    x, f, _, step = _lbfgs._line_search(ramp, np.zeros(1), 0.0, -np.ones(1), np.ones(1), 1.0)
+    assert step == 3.0 and f == -3.0 and x[0] == 3.0
+
+def _scripted_line_search(monkeypatch, failures):
+    """Wrap the line search: calls numbered in ``failures`` fail, the rest run."""
+    real, calls = _lbfgs._line_search, []
+
+    def scripted(fun, x, f0, g0, d, step):
+        calls.append((x.copy(), g0.copy(), d.copy(), step))
+        return None if len(calls) in failures else real(fun, x, f0, g0, d, step)
+
+    monkeypatch.setattr(_lbfgs, "_line_search", scripted)
+    return calls
+
+
+def _ill_conditioned(x):
+    scales = np.array([1.0, 10.0, 100.0])
+    return 0.5 * float(scales @ (x - 1.0) ** 2), scales * (x - 1.0)
+
+
+def test_failed_line_search_retries_from_steepest_descent(monkeypatch):
+    calls = _scripted_line_search(monkeypatch, failures={3})
+    res = kin.minimize(_ill_conditioned, np.zeros(3), maxiter=200, ftol=0.0, gtol=1e-10)
+    assert res.success
+    assert_allclose(res.x, np.ones(3), rtol=1e-9)
+    # the quasi-Newton direction of the third search is not -g; the retry
+    # starts from the same point along -g with a unit step
+    x_failed, g_failed, d_failed, _ = calls[2]
+    x_retry, g_retry, d_retry, step_retry = calls[3]
+    assert not np.allclose(d_failed, -g_failed)
+    assert np.array_equal(x_retry, x_failed) and np.array_equal(d_retry, -g_retry)
+    assert step_retry == 1.0
+
+
+@pytest.mark.parametrize("failures, searches", [({1}, 1), ({3, 4}, 4)],
+                         ids=["first-search", "retry-fails"])
+def test_line_search_failing_from_steepest_descent_stops(monkeypatch, failures, searches):
+    calls = _scripted_line_search(monkeypatch, failures)
+    res = kin.minimize(_ill_conditioned, np.zeros(3), maxiter=200, ftol=0.0, gtol=1e-10)
+    assert not res.success and res.message.startswith("ABNORMAL")
+    assert len(calls) == searches
+    assert np.array_equal(res.x, calls[-1][0])
+    assert res.fun == _ill_conditioned(res.x)[0]
+
+
+@pytest.mark.parametrize("fixture", ["two-step", "three-step", "t0"])
+def test_global_fit_matches_scipy_lbfgsb(monkeypatch, fixture):
+    optimize = pytest.importorskip("scipy.optimize")
+
+    def fit():
+        if fixture == "t0":
+            return kin.global_fit(_t0_map(0.8), kin.SequentialModel((3.0, 10.0), irf_fwhm=0.8),
+                                  fit_t0=True)
+        taus = (1.1, 4.63e7) if fixture == "two-step" else (2.90, 1500.0, 1.6e8)
+        return _round_trip(taus, irf=0.2, t_lo=0.02, t_hi=1.5e9)[0]
+
+    ours = fit()
+
+    def scipy_lbfgsb(fun, x0, maxiter, ftol, gtol):
+        return optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+                                 options={"maxiter": maxiter, "ftol": ftol, "gtol": gtol})
+
+    monkeypatch.setattr(kin, "minimize", scipy_lbfgsb)
+    reference = fit()
+    assert ours.converged and reference.converged
+    assert ours.start_converged == reference.start_converged
+    assert_allclose(ours.model.lifetimes, reference.model.lifetimes, rtol=1e-7)
+    assert ours.model.t0 == pytest.approx(reference.model.t0, rel=1e-7)
